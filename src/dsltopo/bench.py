@@ -18,13 +18,12 @@ import numpy as np
 from .exceptions import ConfigError
 from .loss import DslConfig, dsl_forward, exact_sign_mismatch_count
 from .topology import (
+    MEMORY_LIMIT_BYTES,
     InfiniteDeathPolicy,
     pairwise_correlation_distance,
     sublevel_persistence_0d,
     wasserstein_distance,
 )
-
-MEMORY_LIMIT_BYTES = 4 << 30  # refuse measures whose estimated footprint tops this
 
 
 class LossKind(Enum):

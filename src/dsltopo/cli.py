@@ -3,8 +3,8 @@
 One subcommand per capability: loss evaluation, persistence diagrams,
 diagram distances, correlation distance, sharpness calibration, the
 autoencoder demo, and the scaling benchmark. Exit codes: 0 success, 2 usage
-or configuration error, 3 data or format error, 4 numeric or degenerate
-input.
+or configuration error, 3 data or format error (including input too large
+for the memory limit), 4 numeric or degenerate input, or out of memory.
 """
 
 from __future__ import annotations
@@ -307,6 +307,9 @@ def main(argv=None) -> int:
         return 3
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 4
 
 

@@ -1,13 +1,19 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError and subclasses exit 2
-(usage), ShapeError/AxisError/FormatError exit 3 (data), NumericError and
-subclasses exit 4 (numeric/degenerate).
+(usage), ShapeError and subclasses, AxisError and FormatError exit 3 (data),
+NumericError and subclasses exit 4 (numeric/degenerate). A MemoryError that
+still escapes, when an allocation fails below the library's own limit, also
+exits 4.
 """
 
 
 class ShapeError(ValueError):
     """Bad shape or extent: construction mismatch, rank cap, incompatible operands."""
+
+
+class MemoryLimitError(ShapeError):
+    """Input too large: a quadratic buffer would top the memory limit; raised before allocating."""
 
 
 class AxisError(ValueError):

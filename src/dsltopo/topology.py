@@ -3,12 +3,14 @@
 0-dimensional sublevel-set persistence over dense grids, p-Wasserstein
 distance between persistence diagrams, an assignment-solver wrapper, and
 pairwise correlation distance. These are the non-differentiable references
-the directional sign loss is evaluated against.
+the directional sign loss is evaluated against. The two quadratic oracles
+refuse, before allocating, inputs whose buffers would top MEMORY_LIMIT_BYTES.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +23,7 @@ from .exceptions import (
     ConfigError,
     FormatError,
     InfiniteDeathError,
+    MemoryLimitError,
     NumericError,
     ShapeError,
     UndefinedCorrelationError,
@@ -28,6 +31,15 @@ from .exceptions import (
 from .tensor import as_tensor, require_finite
 
 INF = float("inf")
+MEMORY_LIMIT_BYTES = 4 << 30  # largest quadratic buffer an oracle or a bench measure may build
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    if nbytes > MEMORY_LIMIT_BYTES:
+        raise MemoryLimitError(
+            f"{what} would need {nbytes / 2**30:.1f} GiB, "
+            f"over the {MEMORY_LIMIT_BYTES / 2**30:.0f} GiB limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,7 @@ def sublevel_persistence_0d(t) -> PersistenceDiagram:
             continue
         survivor = min(roots, key=lambda r: (birth[r], r))
         for r in roots:
-            if r is survivor or r == survivor:
+            if r == survivor:
                 continue
             if birth[r] < v:
                 finite_points.append((birth[r], v))
@@ -196,10 +208,12 @@ def wasserstein_distance(
 ) -> float:
     """p-Wasserstein distance between persistence diagrams.
 
-    Each diagram is augmented with the diagonal projections ((b+d)/2 twice)
-    of the other's points, so every point may match a real point or slide to
-    the diagonal; projection-to-projection pairs cost nothing. Returns the
-    p-th root of the minimal total ||x - y||_2^p.
+    Solved as one square (n1+n2) x (n1+n2) assignment with diagonal slots
+    (Kerber, Morozov and Nigmetov, arXiv:1606.03357). A point matches
+    either a point of the other diagram, at ||x - y||_2^p, or its own
+    diagonal slot, at (|d - b| / sqrt 2)^p, its distance to the diagonal;
+    every other point-to-slot pair is forbidden, and unused slots pair with
+    each other for free. Returns the p-th root of the minimal total.
     """
     if not (np.isfinite(p) and p >= 1):
         raise ConfigError(f"order p must be a real >= 1, got {p}")
@@ -207,17 +221,25 @@ def wasserstein_distance(
     n1, n2 = len(a1), len(a2)
     if n1 == 0 and n2 == 0:
         return 0.0
+    n = n1 + n2
+    # the cost matrix and one n1 x n2 temporary
+    _require_memory(8 * (n * n + n1 * n2), "the diagram cost matrix")
 
-    def diag(points: np.ndarray) -> np.ndarray:
-        mid = (points[:, 0] + points[:, 1]) / 2.0
-        return np.column_stack([mid, mid])
-
-    u = np.vstack([a1, diag(a2)])
-    v = np.vstack([a2, diag(a1)])
-    cost = np.linalg.norm(u[:, None, :] - v[None, :, :], axis=2) ** p
-    cost[n1:, n2:] = 0.0  # diagonal to diagonal
-    matched = min_cost_assignment(cost)
-    return float(matched.total_cost ** (1.0 / p))
+    cost = np.full((n, n), INF)
+    cost[n1:, n2:] = 0.0  # unused diagonal slots pair up for free
+    between = cost[:n1, :n2]
+    np.subtract.outer(a1[:, 0], a2[:, 0], out=between)
+    np.hypot(between, np.subtract.outer(a1[:, 1], a2[:, 1]), out=between)
+    between **= p
+    # deaths never precede births, and a capped death is the largest coordinate
+    slide1 = ((a1[:, 1] - a1[:, 0]) / math.sqrt(2.0)) ** p
+    slide2 = ((a2[:, 1] - a2[:, 0]) / math.sqrt(2.0)) ** p
+    if not (np.isfinite(between).all() and np.isfinite(slide1).all() and np.isfinite(slide2).all()):
+        raise NumericError(f"diagram matching costs overflow at order p={p}")
+    cost[np.arange(n1), n2 + np.arange(n1)] = slide1
+    cost[n1 + np.arange(n2), np.arange(n2)] = slide2
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() ** (1.0 / p))
 
 
 def _feature_matrix(arr: np.ndarray, feature_axis: int | None) -> np.ndarray:
@@ -245,8 +267,11 @@ def pairwise_correlation_distance(X, Y, feature_axis: int | None = None) -> floa
     require_finite(Y, "Y")
     fx = _feature_matrix(X, feature_axis)
     fy = _feature_matrix(Y, feature_axis)
-    if fx.shape[0] < 3:
-        raise ShapeError(f"need at least 3 locations, got {fx.shape[0]}")
+    n = fx.shape[0]
+    if n < 3:
+        raise ShapeError(f"need at least 3 locations, got {n}")
+    # two condensed distance vectors, and np.corrcoef's centred stack of both
+    _require_memory(5 * 8 * (n * (n - 1) // 2), "the pairwise distance vectors")
     dx = pdist(fx)
     dy = pdist(fy)
     if np.all(dx == dx[0]) or np.all(dy == dy[0]):

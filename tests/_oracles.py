@@ -2,13 +2,15 @@
 
 These deliberately avoid the package's own algorithms: persistence by
 exhaustive thresholding and labeling, assignment and diagram distances by
-permutation enumeration, gradients by central finite differences.
+permutation enumeration or by a dense all-projections assignment, gradients
+by central finite differences.
 """
 
 import itertools
 
 import numpy as np
 from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
 
 INF = float("inf")
 
@@ -89,6 +91,41 @@ def brute_force_wasserstein(points1, points2, p):
             cost[i, j] = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** (p / 2.0)
     _, total = brute_force_assignment(cost)
     return total ** (1.0 / p)
+
+
+def dense_projection_wasserstein(points1, points2, p, policy):
+    """Diagram distance over the dense all-projections cost matrix.
+
+    Each diagram is augmented with the diagonal projections of the other's
+    points, and any point may match any projection; the square problem is
+    solved by scipy's assignment solver. Infinite deaths follow `policy`:
+    "cap" replaces them with the largest finite coordinate, "drop" removes
+    their points, "reject" raises ValueError.
+    """
+    a1 = np.asarray(points1, dtype=np.float64).reshape(-1, 2)
+    a2 = np.asarray(points2, dtype=np.float64).reshape(-1, 2)
+    both = np.concatenate([a1, a2])
+    if np.isinf(both).any():
+        if policy == "reject":
+            raise ValueError("infinite death")
+        if policy == "drop":
+            a1 = a1[np.isfinite(a1[:, 1])]
+            a2 = a2[np.isfinite(a2[:, 1])]
+        else:
+            cap = both[np.isfinite(both)].max()
+            a1 = np.where(np.isinf(a1), cap, a1)
+            a2 = np.where(np.isinf(a2), cap, a2)
+    n1, n2 = len(a1), len(a2)
+    if n1 + n2 == 0:
+        return 0.0
+    mid1 = (a1[:, 0] + a1[:, 1]) / 2.0
+    mid2 = (a2[:, 0] + a2[:, 1]) / 2.0
+    u = np.vstack([a1, np.column_stack([mid2, mid2])])
+    v = np.vstack([a2, np.column_stack([mid1, mid1])])
+    cost = np.sqrt(((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)) ** p
+    cost[n1:, n2:] = 0.0  # diagonal to diagonal is free
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() ** (1.0 / p))
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dsltopo import (
     write_diagram,
     write_tensor,
 )
+from dsltopo import cli
 from dsltopo.cli import main
 
 
@@ -132,6 +135,38 @@ class TestWassersteinCommand:
         d = tmp_path / "d.csv"
         write_diagram(PersistenceDiagram(((0.0, 1.0),)), d)
         assert main(["wasserstein", str(d), str(d), "--p", "0.5"]) == 2
+
+    def test_too_large_refused_without_allocating(self, tmp_path, capsys):
+        # an (80000, 80000) cost matrix would need about 48 GiB
+        rng = np.random.default_rng(5)
+        paths = []
+        for name in ("d1.csv", "d2.csv"):
+            births = rng.normal(size=40_000)
+            deaths = births + rng.exponential(size=40_000)
+            path = tmp_path / name
+            path.write_text("".join(f"{b!r},{d!r}\n" for b, d in zip(births, deaths)))
+            paths.append(str(path))
+        tracemalloc.start()
+        try:
+            code = main(["wasserstein", *paths])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert peak < 64 << 20
+
+    def test_memory_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 95.4 GiB")
+
+        monkeypatch.setattr(cli, "wasserstein_distance", exhausted)
+        d = tmp_path / "d.csv"
+        write_diagram(PersistenceDiagram(((0.0, 1.0),)), d)
+        assert main(["wasserstein", str(d), str(d)]) == 4
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 95.4 GiB\n"
 
 
 class TestCorrdistCommand:

@@ -13,6 +13,7 @@ from dsltopo import (
     FormatError,
     InfiniteDeathError,
     InfiniteDeathPolicy,
+    MemoryLimitError,
     NumericError,
     PersistenceDiagram,
     ShapeError,
@@ -25,7 +26,14 @@ from dsltopo import (
     write_diagram,
 )
 
-from _oracles import brute_force_assignment, brute_force_wasserstein, threshold_label_diagram
+from dsltopo.topology import MEMORY_LIMIT_BYTES
+
+from _oracles import (
+    brute_force_assignment,
+    brute_force_wasserstein,
+    dense_projection_wasserstein,
+    threshold_label_diagram,
+)
 
 INF = float("inf")
 
@@ -196,6 +204,40 @@ class TestWasserstein:
         want = brute_force_wasserstein(pts1, pts2, p)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("n1,n2", [(0, 300), (1, 300), (2, 700), (200, 200)])
+    @pytest.mark.parametrize("policy", list(InfiniteDeathPolicy))
+    def test_matches_dense_projection_oracle(self, n1, n2, policy):
+        # sizes past the enumeration oracle; (2, 700) is the shape of an
+        # untrained wave model's diagram against its target's
+        rng = np.random.default_rng([n1, n2])
+        pts1, pts2 = [], []
+        for pts, n in ((pts1, n1), (pts2, n2)):
+            births = rng.normal(size=n)
+            deaths = births + rng.exponential(0.5, size=n)
+            if n and policy is not InfiniteDeathPolicy.REJECT:
+                deaths[0] = INF  # the essential class of a sublevel diagram
+            pts.extend(zip(births, deaths))
+        for p in (1.0, 2.0):
+            got = wasserstein_distance(PersistenceDiagram(tuple(pts1)),
+                                       PersistenceDiagram(tuple(pts2)),
+                                       p=p, infinite_death_policy=policy)
+            want = dense_projection_wasserstein(pts1, pts2, p, policy.value)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_order_overflow(self):
+        d = PersistenceDiagram(((0.0, 4.0),))
+        with pytest.raises(NumericError):
+            wasserstein_distance(d, PersistenceDiagram(()), p=1e6)
+
+    def test_memory_limit_refused_before_allocating(self):
+        # side * side float64 cells alone top the limit
+        side = math.isqrt(MEMORY_LIMIT_BYTES // 8) + 1
+        pts = tuple((float(i), float(i) + 1.0) for i in range(side // 2 + 1))
+        d = PersistenceDiagram(pts)
+        with pytest.raises(MemoryLimitError) as exc_info:
+            wasserstein_distance(d, d)
+        assert isinstance(exc_info.value, ShapeError)
+
     def test_metric_axioms_sample(self):
         rng = np.random.default_rng(33)
         diagrams = []
@@ -306,6 +348,12 @@ class TestCorrelationDistance:
         y = np.arange(10.0).reshape(5, 2)
         with pytest.raises(UndefinedCorrelationError):
             pairwise_correlation_distance(x, y)
+
+    def test_memory_limit_refused_before_allocating(self):
+        n = math.isqrt(MEMORY_LIMIT_BYTES // 20) + 2  # 5 float64 vectors of n(n-1)/2
+        x = np.arange(float(n))
+        with pytest.raises(MemoryLimitError):
+            pairwise_correlation_distance(x, x)
 
     def test_matches_pearson(self):
         rng = np.random.default_rng(43)
