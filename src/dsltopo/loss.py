@@ -7,6 +7,7 @@ count (non-differentiable) is exposed alongside as the unit reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +22,9 @@ from .exceptions import (
 from .tensor import as_tensor, require_finite
 
 DEFAULT_SHARPNESS = 32.0
+# elements per block in _evaluate: 256 KiB of float64 per buffer, a few of
+# which fit in L2 together
+BLOCK_ELEMENTS = 1 << 15
 
 
 class SignKind(Enum):
@@ -78,37 +82,10 @@ def sign_like(x, kind: SignKind, s: float):
     """
     if not (np.isfinite(s) and s > 0):
         raise ConfigError(f"sharpness must be positive, got {s}")
-    x = np.asarray(x, dtype=np.float64)
-    if kind is SignKind.EXACT_SIGN:
-        out = np.sign(x)
-    elif kind is SignKind.TANH:
-        out = np.tanh(s * x)
-    elif kind is SignKind.SOFTSIGN:
-        z = s * x
-        out = z / (1.0 + np.abs(z))
-    else:
+    if not isinstance(kind, SignKind):
         raise ConfigError(f"unknown sign kind {kind!r}")
+    out = _transform_inplace(np.array(x, dtype=np.float64), kind, s)
     return out if out.ndim else float(out)
-
-
-def _dsign_dd(t: np.ndarray, kind: SignKind, s: float) -> np.ndarray:
-    # derivative of sign_like(d) with respect to d, written in terms of the output t
-    if kind is SignKind.TANH:
-        return s * (1.0 - t * t)
-    if kind is SignKind.SOFTSIGN:
-        a = 1.0 - np.abs(t)
-        return s * a * a
-    raise NonDifferentiableError("the exact sign function has no usable gradient")
-
-
-def _dsign_ds(t: np.ndarray, d: np.ndarray, kind: SignKind) -> np.ndarray:
-    # derivative of sign_like(d) with respect to the sharpness s
-    if kind is SignKind.TANH:
-        return d * (1.0 - t * t)
-    if kind is SignKind.SOFTSIGN:
-        a = 1.0 - np.abs(t)
-        return d * a * a
-    raise NonDifferentiableError("the exact sign function has no usable gradient")
 
 
 def _pair_axes(
@@ -152,23 +129,31 @@ def comparisons_per_example(shape, skip_batch_axis: bool = False) -> int:
     return total
 
 
-def _transform_inplace(d: np.ndarray, kind: SignKind, s: float) -> np.ndarray:
-    # sign_like applied to a difference buffer the caller owns
+def _transform_inplace(d: np.ndarray, kind: SignKind, s: float, scratch=None) -> np.ndarray:
+    # sign_like applied to a difference buffer the caller owns; softsign
+    # needs one more buffer of d's shape, allocated when scratch is None
     if kind is SignKind.EXACT_SIGN:
         return np.sign(d, out=d)
     np.multiply(d, s, out=d)
     if kind is SignKind.TANH:
         return np.tanh(d, out=d)
-    denom = np.abs(d)  # softsign: z / (1 + |z|)
+    denom = np.abs(d, out=scratch)  # softsign: z / (1 + |z|)
     denom += 1.0
     return np.divide(d, denom, out=d)
 
 
-def _scatter_diff(grad: np.ndarray, g: np.ndarray, ax: int, accumulate: bool) -> None:
-    """Apply the adjacent-difference chain rule along ax: +g onto the leading
-    slice and -g onto the trailing one. With accumulate=False the target is
-    uninitialized and written outright (valid when it receives one axis only).
+def _scatter_diff(grad: np.ndarray, g: np.ndarray, ax: int, r0: int, accumulate: bool) -> None:
+    """Apply the adjacent-difference chain rule for a block of differences g
+    whose first row is row r0 of grad: +g onto the upper element of each
+    difference and -g onto the lower one. Along axis 0 the upper element of
+    the block's last difference is the next block's first row. With
+    accumulate=False the target is uninitialized and written outright (valid
+    when it receives one axis only), so a row r0 > 0 already holds the
+    previous block's +g.
     """
+    if ax:
+        grad, r0 = grad[r0:r0 + g.shape[0]], 0
+    n = g.shape[ax]
     nd = grad.ndim
 
     def sl(a, b):
@@ -177,17 +162,20 @@ def _scatter_diff(grad: np.ndarray, g: np.ndarray, ax: int, accumulate: bool) ->
         return tuple(out)
 
     if accumulate:
-        grad[sl(1, None)] += g
-        grad[sl(None, -1)] -= g
+        grad[sl(r0 + 1, r0 + n + 1)] += g
+        grad[sl(r0, r0 + n)] -= g
         return
-    np.negative(g[sl(0, 1)], out=grad[sl(0, 1)])
-    if grad.shape[ax] > 2:
-        np.subtract(g[sl(None, -1)], g[sl(1, None)], out=grad[sl(1, -1)])
-    grad[sl(-1, None)] = g[sl(-1, None)]
+    if r0:
+        grad[sl(r0, r0 + 1)] -= g[sl(0, 1)]
+    else:
+        np.negative(g[sl(0, 1)], out=grad[sl(0, 1)])
+    np.subtract(g[sl(None, -1)], g[sl(1, None)], out=grad[sl(r0 + 1, r0 + n)])
+    grad[sl(r0 + n, r0 + n + 1)] = g[sl(-1, None)]
 
 
 def _dd_factor_into(t: np.ndarray, kind: SignKind, out: np.ndarray) -> np.ndarray:
-    # d(sign_like)/dd up to the factor s, written into out: 1-t^2 or (1-|t|)^2
+    # d(sign_like)/dd up to the factor s, written into out: 1-t^2 or (1-|t|)^2;
+    # d * factor(t) is d(sign_like)/ds
     if kind is SignKind.TANH:
         np.multiply(t, t, out=out)
         np.subtract(1.0, out, out=out)
@@ -210,6 +198,12 @@ def _evaluate(
 ):
     """Shared engine for the forward value and its analytic gradients.
 
+    The arrays are walked in blocks of whole rows (axis 0) of about
+    BLOCK_ELEMENTS elements. Every intermediate lives in a few block-sized
+    buffers that this call owns, so the working set stays in cache whatever
+    the input size; only the returned gradients are full-sized. A difference
+    along axis 0 reads one row past its block.
+
     `tx_by_axis` optionally supplies precomputed sign_like(diff(X, axis)) per
     compared axis so repeated evaluations against a fixed X skip that work;
     it cannot be combined with want_dx/want_ds (those need the raw
@@ -217,18 +211,17 @@ def _evaluate(
     callers that already guarantee it.
     """
     X, Y, axes, w = _pair_axes(X, Y, cfg.skip_batch_axis, cfg.weights, validate)
-    if (want_dy or want_dx or want_ds) and cfg.sign_kind is SignKind.EXACT_SIGN:
+    any_grad = want_dy or want_dx or want_ds
+    if any_grad and cfg.sign_kind is SignKind.EXACT_SIGN:
         raise NonDifferentiableError("the exact sign function has no usable gradient")
     if cfg.reduction is Reduction.NONE and not cfg.skip_batch_axis:
         raise ConfigError("per-example reduction requires skip_batch_axis")
-    if (want_dy or want_dx or want_ds) and cfg.reduction is Reduction.NONE:
+    if any_grad and cfg.reduction is Reduction.NONE:
         raise ConfigError("gradients are defined only for scalar reductions")
     if tx_by_axis is not None and (want_dx or want_ds):
         raise ConfigError("precomputed transforms cannot back gradients through X")
 
     s = cfg.sharpness
-    if not (np.isfinite(s) and s > 0):
-        raise ConfigError(f"sharpness must be positive, got {s}")
     kind = cfg.sign_kind
     if cfg.match_exact_units:
         unit = 0.5
@@ -237,68 +230,79 @@ def _evaluate(
     else:
         unit = 1.0
 
-    n_examples = X.shape[0] if cfg.skip_batch_axis else 1
-    example_axes = tuple(range(1, X.ndim)) if cfg.skip_batch_axis else tuple(range(X.ndim))
+    n0 = X.shape[0]
+    n_examples = n0 if cfg.skip_batch_axis else 1
+    example_axes = tuple(range(1, X.ndim))
     per_example = np.zeros(n_examples)
-    ds_per_example = np.zeros(n_examples) if want_ds else None
+    ds_total = 0.0
     # a single compared axis writes its gradient outright, so skip the zeroing
-    alloc = np.empty_like if len(axes) == 1 else np.zeros_like
+    accumulate = len(axes) > 1
+    alloc = np.zeros_like if accumulate else np.empty_like
     grad_x = alloc(X) if want_dx else None
     grad_y = alloc(Y) if want_dy else None
-    any_grad = want_dy or want_dx or want_ds
 
+    row = X.size // n0
+    rows = max(1, min(n0, BLOCK_ELEMENTS // row))
+    # transformed x and y, the mismatch, its sign: shaped per compared axis
+    # for a block of `rows` rows of differences, sliced for a shorter one
+    flat = np.empty((4 if any_grad else 3, rows * row))
+    plan = []
     for ax, weight in zip(axes, w):
-        dx = None
-        if tx_by_axis is not None and ax in tx_by_axis:
-            tx = tx_by_axis[ax]  # borrowed; never written below
-        else:
-            dx = np.diff(X, axis=ax)
-            if want_dx or want_ds:
-                tx = sign_like(dx, kind, s)  # raw dx still needed
-            else:
-                tx = _transform_inplace(dx, kind, s)
-                dx = None
-        dy = np.diff(Y, axis=ax)
-        if want_ds:
-            ty = sign_like(dy, kind, s)
-        else:
-            ty = _transform_inplace(dy, kind, s)
-            dy = None
-        mism = tx - ty
-        scale = weight * unit
+        lead = (slice(None),) * ax
+        sub = list(X.shape[1:])
+        if ax:
+            sub[ax - 1] -= 1
+        bufs = flat[:, :rows * math.prod(sub)].reshape(len(flat), rows, *sub)
+        plan.append((ax, weight * unit, lead + (slice(1, None),), lead + (slice(None, -1),), bufs))
 
-        if not any_grad:
+    for r0 in range(0, n0, rows):
+        r1 = min(r0 + rows, n0)
+        for ax, scale, hi, lo, bufs in plan:
+            r_end = min(r1, n0 - 1) if ax == 0 else r1  # difference rows r0:r_end
+            if r_end == r0:
+                continue  # a last block of one row has no axis-0 differences
+            if r_end - r0 < rows:
+                bufs = bufs[:, :r_end - r0]
+            stop = r_end + 1 if ax == 0 else r1
+            xb, yb = X[r0:stop], Y[r0:stop]
+            if tx_by_axis is not None and ax in tx_by_axis:
+                tx = tx_by_axis[ax][r0:r_end]  # borrowed; never written below
+            else:
+                tx = _transform_inplace(np.subtract(xb[hi], xb[lo], out=bufs[0]), kind, s, bufs[2])
+            ty = _transform_inplace(np.subtract(yb[hi], yb[lo], out=bufs[1]), kind, s, bufs[2])
+            mism = np.subtract(tx, ty, out=bufs[2])
+            if any_grad:
+                sgn = np.sign(mism, out=bufs[3])  # sign(tx - ty); zero at the |.| kink
             np.abs(mism, out=mism)
             if cfg.skip_batch_axis:
-                per_example += scale * mism.sum(axis=example_axes)
+                per_example[r0:r1] += scale * mism.sum(axis=example_axes)
             else:
                 per_example[0] += scale * mism.sum()
-            continue
+            if not any_grad:
+                continue
 
-        sgn = np.sign(mism)  # sign(tx - ty); zero at the |.| kink
-        np.multiply(mism, sgn, out=mism)  # |tx - ty|
-        if cfg.skip_batch_axis:
-            per_example += scale * mism.sum(axis=example_axes)
-        else:
-            per_example[0] += scale * mism.sum()
-
-        if want_ds:
-            # computed first: it needs tx, ty, dx, dy before any buffer reuse
-            term = sgn * (_dsign_ds(tx, dx, kind) - _dsign_ds(ty, dy, kind)) * scale
-            if cfg.skip_batch_axis:
-                ds_per_example += term.sum(axis=example_axes)
-            else:
-                ds_per_example[0] += term.sum()
-        if want_dy:
-            gy = _dd_factor_into(ty, kind, out=mism)  # mism's value is spent
-            np.multiply(gy, sgn, out=gy)
-            gy *= -(s * scale)
-            _scatter_diff(grad_y, gy, ax, accumulate=len(axes) > 1)
-        if want_dx:
-            gx = _dd_factor_into(tx, kind, out=ty)  # ty is spent after want_dy
-            np.multiply(gx, sgn, out=gx)
-            gx *= s * scale
-            _scatter_diff(grad_x, gx, ax, accumulate=len(axes) > 1)
+            # each transform becomes sign * factor(t) in place; the
+            # gradients scale it by -s and s, dL/ds weights it by the raw d
+            if want_dy or want_ds:
+                gy = _dd_factor_into(ty, kind, out=ty)
+                np.multiply(gy, sgn, out=gy)
+            if want_dx or want_ds:
+                gx = _dd_factor_into(tx, kind, out=tx)
+                np.multiply(gx, sgn, out=gx)
+            if want_ds:
+                # the raw differences are recomputed from blocks still in cache
+                term = np.subtract(xb[hi], xb[lo], out=mism)
+                term *= gx
+                dy = np.subtract(yb[hi], yb[lo], out=sgn)  # sgn is spent
+                dy *= gy
+                term -= dy
+                ds_total += scale * term.sum()
+            if want_dy:
+                gy *= -(s * scale)
+                _scatter_diff(grad_y, gy, ax, r0, accumulate)
+            if want_dx:
+                gx *= s * scale
+                _scatter_diff(grad_x, gx, ax, r0, accumulate)
 
     if cfg.skip_batch_axis and cfg.reduction is Reduction.NONE:
         return per_example, None, None, None
@@ -313,7 +317,7 @@ def _evaluate(
         grad_y *= batch_scale
     if grad_x is not None and batch_scale != 1.0:
         grad_x *= batch_scale
-    ds = float(ds_per_example.sum() * batch_scale) if want_ds else None
+    ds = float(ds_total * batch_scale) if want_ds else None
     return value, grad_y, grad_x, ds
 
 

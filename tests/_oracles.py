@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own algorithms: persistence by
 exhaustive thresholding and labeling, assignment and diagram distances by
-permutation enumeration or by a dense all-projections assignment, gradients
-by central finite differences.
+permutation enumeration or by a dense all-projections assignment, the
+directional sign loss and its gradients over whole arrays, gradients by
+central finite differences.
 """
 
 import itertools
@@ -126,6 +127,70 @@ def dense_projection_wasserstein(points1, points2, p, policy):
     cost[n1:, n2:] = 0.0  # diagonal to diagonal is free
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() ** (1.0 / p))
+
+
+def whole_array_dsl(x, y, cfg):
+    """Directional sign loss and (dL/dY, dL/dX, dL/ds) over whole arrays.
+
+    Every axis is differenced, transformed and reduced in one piece, and each
+    gradient is the transpose of np.diff applied to the per-difference
+    derivative. `cfg` is read for its fields only. With reduction "none"
+    the per-example values are returned alone.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    s = cfg.sharpness
+    kind = cfg.sign_kind.value
+    skip = cfg.skip_batch_axis
+    axes = list(range(1 if skip else 0, x.ndim))
+    weights = cfg.weights if cfg.weights is not None else [1.0] * len(axes)
+    n_examples = x.shape[0] if skip else 1
+    if cfg.match_exact_units:
+        unit = 0.5
+    elif cfg.scale_by_comparisons:
+        unit = 1.0 / sum((x.size // x.shape[ax]) * (x.shape[ax] - 1) // n_examples for ax in axes)
+    else:
+        unit = 1.0
+
+    def transform(d):
+        # sign-like value and its derivative in d divided by s
+        if kind == "exact":
+            return np.sign(d), None
+        z = s * d
+        if kind == "tanh":
+            t = np.tanh(z)
+            return t, 1.0 - t * t
+        t = z / (1.0 + np.abs(z))
+        return t, (1.0 - np.abs(t)) ** 2
+
+    def diff_transpose(c, ax):
+        # gradient of sum(c * np.diff(a, axis=ax)) with respect to a
+        pad = np.zeros_like(np.take(c, [0], axis=ax))
+        return np.concatenate([pad, c], axis=ax) - np.concatenate([c, pad], axis=ax)
+
+    per_example = np.zeros(n_examples)
+    grad_y = np.zeros_like(y)
+    grad_x = np.zeros_like(x)
+    ds = 0.0
+    for ax, weight in zip(axes, weights):
+        dx = np.diff(x, axis=ax)
+        dy = np.diff(y, axis=ax)
+        tx, fx = transform(dx)
+        ty, fy = transform(dy)
+        scale = weight * unit
+        mismatch = scale * np.abs(tx - ty)
+        per_example += mismatch.reshape(n_examples, -1).sum(axis=1)
+        if kind == "exact":
+            continue
+        sgn = np.sign(tx - ty)
+        grad_y += diff_transpose(-scale * s * sgn * fy, ax)
+        grad_x += diff_transpose(scale * s * sgn * fx, ax)
+        ds += float((scale * sgn * (dx * fx - dy * fy)).sum())
+    if cfg.reduction.value == "none":
+        return per_example
+    batch_scale = 1.0 / n_examples if skip and cfg.reduction.value == "mean" else 1.0
+    value = float(per_example.sum() * batch_scale)
+    return value, grad_y * batch_scale, grad_x * batch_scale, ds * batch_scale
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from dsltopo import autoencoder
 from dsltopo import (
     WALK_MODEL,
     WAVE_MODEL,
@@ -195,6 +196,22 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError) as exc_info:
                 train_autoencoder(small_data(), SMALL_SPEC, cfg)
         assert exc_info.value.batch_index >= 1
+
+    def test_nan_reconstruction_diverges(self, monkeypatch):
+        # training skips the DSL's finiteness scan; a NaN in the last block of
+        # the reconstruction must still surface through the divergence check
+        real = autoencoder._evaluate
+
+        def poisoned(X, Y, *args, **kwargs):
+            Y[-1, -1] = np.nan
+            return real(X, Y, *args, **kwargs)
+
+        monkeypatch.setattr(autoencoder, "_evaluate", poisoned)
+        cfg = TrainConfig(mse_weight=0.0, dsl_weight=1.0, batch_size=1024,
+                          total_batches=3, seed=2)
+        with pytest.raises(TrainingDivergedError) as exc_info:
+            train_autoencoder(small_data(n=1024), SMALL_SPEC, cfg)
+        assert exc_info.value.batch_index == 1
 
     def test_batch_larger_than_dataset(self):
         cfg = TrainConfig(batch_size=256, total_batches=1)

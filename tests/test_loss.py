@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,9 @@ from dsltopo import (
     exact_sign_mismatch_count,
     sign_like,
 )
-from dsltopo.loss import _evaluate
+from dsltopo.loss import BLOCK_ELEMENTS, _evaluate
 
-from _oracles import fd_gradient, fd_scalar
+from _oracles import fd_gradient, fd_scalar, whole_array_dsl
 
 RAW = DslConfig(sharpness=1.0, match_exact_units=False, scale_by_comparisons=False)
 UNITS = DslConfig(sharpness=1.0, match_exact_units=True, scale_by_comparisons=False)
@@ -318,3 +320,132 @@ class TestEngineCache:
         tx = {1: np.zeros((2, 2))}
         with pytest.raises(ConfigError):
             _evaluate(x, x, cfg, want_dx=True, tx_by_axis=tx)
+
+
+B = BLOCK_ELEMENTS
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Equal to rtol relative to the largest magnitude of want."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    bound = rtol * max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= bound
+
+
+def random_pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape), rng.normal(size=shape)
+
+
+class TestBlockBoundaries:
+    """The blocked engine against the whole-array oracle on shapes whose
+    rows straddle, fill or exceed a block."""
+
+    def check(self, shape, seed=0, **cfg_kw):
+        x, y = random_pair(shape, seed)
+        cfg = DslConfig(**{"sharpness": 1.5, **cfg_kw})
+        value, gy, gx, ds = dsl_forward(x, y, cfg), *dsl_gradient(x, y, cfg)
+        want_value, want_gy, want_gx, want_ds = whole_array_dsl(x, y, cfg)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        assert ds == pytest.approx(want_ds, rel=1e-12, abs=0)
+        assert_close(gy, want_gy)
+        assert_close(gx, want_gx)
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 2])
+    def test_rank1(self, n):
+        self.check((n,), seed=n)
+
+    @pytest.mark.parametrize("kind", [SignKind.TANH, SignKind.SOFTSIGN])
+    def test_rank2_many_short_rows(self, kind):
+        self.check((B // 3 + 5, 7), sign_kind=kind, weights=(2.0, 0.5))
+
+    @pytest.mark.parametrize("kind", [SignKind.TANH, SignKind.SOFTSIGN])
+    def test_rank2_rows_wider_than_a_block(self, kind):
+        self.check((5, B + 3), sign_kind=kind, weights=(0.5, 3.0))
+
+    def test_rank3_axis0_across_blocks(self):
+        # 5 rows of 64 x 100 per block: blocks [0, 5) and [5, 9)
+        self.check((9, 64, 100), sharpness=32.0)
+
+    def test_rank3_rows_wider_than_a_block(self):
+        self.check((4, 128, 300), match_exact_units=True, scale_by_comparisons=False)
+
+    @pytest.mark.parametrize("reduction", [Reduction.SUM, Reduction.MEAN])
+    @pytest.mark.parametrize("kind", [SignKind.TANH, SignKind.SOFTSIGN])
+    def test_skip_batch_axis(self, reduction, kind):
+        self.check((B // 10 + 3, 11, 6), skip_batch_axis=True, reduction=reduction,
+                   sign_kind=kind, weights=(1.5, 0.25))
+
+    @pytest.mark.parametrize("shape", [(B // 10 + 3, 11, 6), (3, B + 9)])
+    def test_skip_batch_axis_per_example(self, shape):
+        x, y = random_pair(shape, 3)
+        cfg = DslConfig(sharpness=2.0, skip_batch_axis=True, reduction=Reduction.NONE)
+        assert_close(dsl_forward(x, y, cfg), whole_array_dsl(x, y, cfg))
+
+    @pytest.mark.parametrize("shape", [(B - 1,), (B // 100 + 1, 101)])
+    def test_exact_sign_forward(self, shape):
+        x, y = random_pair(shape, 4)
+        x = np.round(x)
+        y = np.round(y)
+        cfg = DslConfig(sign_kind=SignKind.EXACT_SIGN, match_exact_units=True,
+                        scale_by_comparisons=False)
+        want = whole_array_dsl(x, y, cfg)[0]
+        assert dsl_forward(x, y, cfg) == pytest.approx(want, rel=1e-12, abs=0)
+        assert want == exact_sign_mismatch_count(x, y)
+
+    @pytest.mark.parametrize("kind", [SignKind.TANH, SignKind.SOFTSIGN])
+    def test_precomputed_transform(self, kind):
+        x, y = random_pair((B // 50 + 7, 51), 5)
+        cfg = DslConfig(sharpness=4.0, sign_kind=kind, skip_batch_axis=True)
+        tx = {1: sign_like(np.diff(x, axis=1), kind, cfg.sharpness)}
+        value, gy, _, _ = _evaluate(x, y, cfg, want_dy=True, tx_by_axis=tx)
+        want_value, want_gy, _, _ = whole_array_dsl(x, y, cfg)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        assert_close(gy, want_gy)
+
+    def test_swap_symmetry_across_blocks(self):
+        x, y = random_pair((B // 20 + 1, 21), 6)
+        cfg = DslConfig(sharpness=1.5)
+        gy, gx, _ = dsl_gradient(x, y, cfg)
+        gy2, gx2, _ = dsl_gradient(y, x, cfg)
+        assert np.array_equal(gy, gx2) and np.array_equal(gx, gy2)
+        assert dsl_forward(x, y, cfg) == dsl_forward(y, x, cfg)
+
+
+class TestMemory:
+    def test_peaks_at_two_to_the_21(self):
+        x, y = random_pair((1 << 21,), 7)  # 16 MiB each
+        mib = 1 << 20
+        tracemalloc.start()
+        try:
+            dsl_forward(x, y)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            dsl_gradient(x, y)  # its two 16 MiB outputs plus the block buffers
+            gradient_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 8 * mib
+        assert gradient_peak < 40 * mib
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("want_dy", [False, True])
+    def test_unvalidated_nan_surfaces(self, where, want_dy):
+        x, y = random_pair((B // 100 + 1, 101), 8)
+        y[where, where] = np.nan  # first block or last block
+        cfg = DslConfig(skip_batch_axis=True)
+        value, gy, _, _ = _evaluate(x, y, cfg, want_dy=want_dy, validate=False)
+        assert not np.isfinite(value)
+        if want_dy:
+            assert not np.isfinite(gy).all()
+
+    def test_unvalidated_nan_per_example(self):
+        x, y = random_pair((B // 100 + 1, 101), 9)
+        y[-1, 50] = np.nan
+        cfg = DslConfig(skip_batch_axis=True, reduction=Reduction.NONE)
+        per, _, _, _ = _evaluate(x, y, cfg, validate=False)
+        assert np.isfinite(per[:-1]).all() and np.isnan(per[-1])
