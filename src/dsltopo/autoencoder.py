@@ -94,37 +94,29 @@ class AutoencoderModel:
         if self.decoder_layers[-1][0].shape[1] != self.encoder_layers[0][0].shape[0]:
             raise ConfigError("decoder output width must equal encoder input width")
 
-    def _stack(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[bool]]:
-        layers = self.encoder_layers + self.decoder_layers
-        last_enc = len(self.encoder_layers) - 1
-        relu_after = [
-            i != last_enc and i != len(layers) - 1 for i in range(len(layers))
-        ]
-        return layers, relu_after
-
-    @staticmethod
-    def _run(layers, relu_after, x: np.ndarray) -> np.ndarray:
-        h = x
-        for (w, b), relu in zip(layers, relu_after):
-            h = h @ w + b
-            if relu:
-                h = np.maximum(h, 0.0)
-        return h
-
     def encode(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        n = len(self.encoder_layers)
-        _, relu = self._stack()
-        return self._run(self.encoder_layers, relu[:n], x)
+        return _forward(self.encoder_layers, np.asarray(x, dtype=np.float64))
 
     def decode(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        n = len(self.encoder_layers)
-        _, relu = self._stack()
-        return self._run(self.decoder_layers, relu[n:], z)
+        return _forward(self.decoder_layers, np.asarray(z, dtype=np.float64))
 
     def reconstruct(self, x) -> np.ndarray:
         return self.decode(self.encode(x))
+
+
+def _forward(layers, h: np.ndarray, trace: list | None = None) -> np.ndarray:
+    """Dense layers h @ w + b with a rectifier after every layer but the last.
+
+    With `trace`, each layer's (input, pre-activation) is appended to it for
+    the backward pass.
+    """
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        z = h @ w + b
+        if trace is not None:
+            trace.append((h, z))
+        h = np.maximum(z, 0.0) if i < last else z
+    return h
 
 
 def initialize_model(spec: ModelSpec, seed: int) -> AutoencoderModel:
@@ -154,14 +146,7 @@ def initialize_model(spec: ModelSpec, seed: int) -> AutoencoderModel:
 class TrainConfig:
     mse_weight: float = 1.0
     dsl_weight: float = 0.0
-    dsl_config: DslConfig = field(
-        default_factory=lambda: DslConfig(
-            sharpness=32.0,
-            skip_batch_axis=True,
-            reduction=Reduction.MEAN,
-            scale_by_comparisons=True,
-        )
-    )
+    dsl_config: DslConfig = field(default_factory=lambda: DslConfig(skip_batch_axis=True))
     learning_rate: float = 1e-3
     batch_size: int = 1024
     total_batches: int = 2000
@@ -267,7 +252,8 @@ def train_autoencoder(data, model_spec: ModelSpec, cfg: TrainConfig):
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
 
     model = initialize_model(model_spec, cfg.seed)
-    layers, relu_after = model._stack()
+    layers = model.encoder_layers + model.decoder_layers
+    linear = {len(model.encoder_layers) - 1, len(layers) - 1}  # the latent and output layers
     batch_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(layers) + 1)[-1])
 
     use_dsl = cfg.dsl_weight > 0
@@ -291,16 +277,8 @@ def train_autoencoder(data, model_spec: ModelSpec, cfg: TrainConfig):
         if use_dsl:
             np.take(tx_full, idx, axis=0, out=tx_batch)
 
-        # forward, keeping pre-activations for the backward pass
-        acts = [x]
-        pres = []
-        h = x
-        for (w, b), relu in zip(layers, relu_after):
-            z = h @ w + b
-            pres.append(z)
-            h = np.maximum(z, 0.0) if relu else z
-            acts.append(h)
-        recon = h
+        trace: list[tuple[np.ndarray, np.ndarray]] = []
+        recon = _forward(model.decoder_layers, _forward(model.encoder_layers, x, trace), trace)
 
         mse_term = 0.0
         grad_recon = None
@@ -333,8 +311,9 @@ def train_autoencoder(data, model_spec: ModelSpec, cfg: TrainConfig):
         grads = [None] * len(layers)
         for li in range(len(layers) - 1, -1, -1):
             w, _ = layers[li]
-            gz = delta * (pres[li] > 0) if relu_after[li] else delta
-            grads[li] = (acts[li].T @ gz, gz.sum(axis=0))
+            h, z = trace[li]
+            gz = delta if li in linear else delta * (z > 0)
+            grads[li] = (h.T @ gz, gz.sum(axis=0))
             if li:  # the input needs no gradient
                 delta = gz @ w.T
 
@@ -491,35 +470,13 @@ def load_checkpoint(directory) -> AutoencoderModel:
 def demo_preset(dataset: str) -> tuple[ModelSpec, TrainConfig]:
     """Hyperparameter presets for the two demo datasets (mixture 1 + 128)."""
     if dataset == "wave":
-        spec = WAVE_MODEL
-        cfg = TrainConfig(
+        return WAVE_MODEL, TrainConfig(mse_weight=1.0, dsl_weight=128.0)
+    if dataset == "walk":
+        return WALK_MODEL, TrainConfig(
             mse_weight=1.0,
             dsl_weight=128.0,
-            dsl_config=DslConfig(
-                sharpness=32.0,
-                skip_batch_axis=True,
-                reduction=Reduction.MEAN,
-                scale_by_comparisons=True,
-            ),
-            learning_rate=1e-3,
-            batch_size=1024,
-            total_batches=2000,
-        )
-    elif dataset == "walk":
-        spec = WALK_MODEL
-        cfg = TrainConfig(
-            mse_weight=1.0,
-            dsl_weight=128.0,
-            dsl_config=DslConfig(
-                sharpness=16.0,
-                skip_batch_axis=True,
-                reduction=Reduction.MEAN,
-                scale_by_comparisons=True,
-            ),
+            dsl_config=DslConfig(sharpness=16.0, skip_batch_axis=True),
             learning_rate=1e-4,
             batch_size=64,
-            total_batches=2000,
         )
-    else:
-        raise ConfigError(f"unknown demo dataset {dataset!r}")
-    return spec, cfg
+    raise ConfigError(f"unknown demo dataset {dataset!r}")

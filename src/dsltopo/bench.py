@@ -168,12 +168,18 @@ def benchmark_losses(
     return records
 
 
+def format_bench_csv(records) -> str:
+    """The records as CSV text, one line per record under a header line."""
+    lines = ["loss_kind,rank,elements,wall_time_seconds,repetitions,peak_alloc_bytes\n"]
+    for r in records:
+        peak = "" if r.peak_alloc_bytes is None else str(r.peak_alloc_bytes)
+        lines.append(
+            f"{r.loss_kind.value},{r.rank},{r.elements},"
+            f"{r.wall_time_seconds:.17g},{r.repetitions},{peak}\n"
+        )
+    return "".join(lines)
+
+
 def write_bench_csv(records, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("loss_kind,rank,elements,wall_time_seconds,repetitions,peak_alloc_bytes\n")
-        for r in records:
-            peak = "" if r.peak_alloc_bytes is None else str(r.peak_alloc_bytes)
-            fh.write(
-                f"{r.loss_kind.value},{r.rank},{r.elements},"
-                f"{r.wall_time_seconds:.17g},{r.repetitions},{peak}\n"
-            )
+        fh.write(format_bench_csv(records))

@@ -28,7 +28,7 @@ from .autoencoder import (
     write_evaluation_csv,
     write_training_log,
 )
-from .bench import benchmark_losses, write_bench_csv
+from .bench import benchmark_losses, format_bench_csv, write_bench_csv
 from .calibration import CalibrationConfig, ReferenceLoss, find_sharpness
 from .exceptions import (
     AxisError,
@@ -191,13 +191,7 @@ def _cmd_bench(args) -> int:
     if args.csv:
         write_bench_csv(records, args.csv)
     else:
-        print("loss_kind,rank,elements,wall_time_seconds,repetitions,peak_alloc_bytes")
-        for r in records:
-            peak = "" if r.peak_alloc_bytes is None else str(r.peak_alloc_bytes)
-            print(
-                f"{r.loss_kind.value},{r.rank},{r.elements},"
-                f"{r.wall_time_seconds:.17g},{r.repetitions},{peak}"
-            )
+        sys.stdout.write(format_bench_csv(records))
     return 0
 
 

@@ -130,10 +130,13 @@ def comparisons_per_example(shape, skip_batch_axis: bool = False) -> int:
 
 
 def _transform_inplace(d: np.ndarray, kind: SignKind, s: float, scratch=None) -> np.ndarray:
-    # sign_like applied to a difference buffer the caller owns; softsign
-    # needs one more buffer of d's shape, allocated when scratch is None
+    # sign_like applied to a difference buffer the caller owns; softsign and
+    # the exact sign need one more buffer of d's shape, allocated when scratch
+    # is None
     if kind is SignKind.EXACT_SIGN:
-        return np.sign(d, out=d)
+        # np.sign with out=d runs ~6x slower than into another buffer
+        d[...] = np.sign(d, out=scratch)
+        return d
     np.multiply(d, s, out=d)
     if kind is SignKind.TANH:
         return np.tanh(d, out=d)
@@ -347,10 +350,13 @@ def exact_sign_mismatch_count(X, Y, weights=None, skip_batch_axis: bool = False)
     Each comparison contributes |sign(dX) - sign(dY)| / 2, which is 0, 0.5,
     or 1; 0.5 appears when exactly one of the two differences is zero.
     """
-    X, Y, axes, w = _pair_axes(X, Y, skip_batch_axis, weights)
-    total = 0.0
-    for ax, weight in zip(axes, w):
-        sx = np.sign(np.diff(X, axis=ax))
-        sy = np.sign(np.diff(Y, axis=ax))
-        total += weight * 0.5 * np.abs(sx - sy).sum()
-    return float(total)
+    cfg = DslConfig(
+        weights=weights,
+        sign_kind=SignKind.EXACT_SIGN,
+        match_exact_units=True,
+        skip_batch_axis=skip_batch_axis,
+        reduction=Reduction.SUM,
+        scale_by_comparisons=False,
+    )
+    value, _, _, _ = _evaluate(X, Y, cfg)
+    return value

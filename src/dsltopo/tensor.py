@@ -1,7 +1,7 @@
-"""Dense float64 tensors: construction, axis-wise finite differences, DST1 file I/O.
+"""Dense float64 tensors: coercion, finiteness check, DST1 file I/O.
 
 Tensors are plain C-contiguous float64 numpy arrays of rank 1 to 8.
-Every function returns fresh arrays and never aliases caller data.
+`as_tensor` copies only when it must; `read_tensor` returns a fresh array.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .exceptions import AxisError, DegenerateAxisError, FormatError, NumericError, ShapeError
+from .exceptions import FormatError, NumericError, ShapeError
 
 MAX_RANK = 8
 
@@ -36,41 +36,6 @@ def require_finite(arr: np.ndarray, name: str = "tensor") -> None:
     """Reject NaN/Inf entries; sign-of-NaN would silently corrupt mismatch counts."""
     if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite values")
-
-
-def tensor_create(shape, data) -> np.ndarray:
-    """Build a tensor from a shape and a flat row-major value sequence.
-
-    The data is copied. Raises ShapeError when the extents are invalid or the
-    flat length does not match product(shape).
-    """
-    extents = tuple(int(n) for n in shape)
-    _check_rank(len(extents))
-    if any(n <= 0 for n in extents):
-        raise ShapeError(f"all extents must be positive, got {extents}")
-    flat = np.array(data, dtype=np.float64).ravel()
-    expected = int(np.prod(extents))
-    if flat.size != expected:
-        raise ShapeError(
-            f"shape {extents} implies {expected} values, got {flat.size}"
-        )
-    return flat.reshape(extents)
-
-
-def finite_difference(t, axis: int) -> np.ndarray:
-    """Adjacent-element differences along one axis: out = t[.., 1:, ..] - t[.., :-1, ..].
-
-    The extent along `axis` shrinks by exactly one; all other extents are
-    unchanged.
-    """
-    arr = as_tensor(t)
-    if not 0 <= axis < arr.ndim:
-        raise AxisError(f"axis {axis} out of range for rank {arr.ndim}")
-    if arr.shape[axis] == 1:
-        raise DegenerateAxisError(
-            f"axis {axis} has extent 1 and admits no finite differences"
-        )
-    return np.diff(arr, axis=axis)
 
 
 def write_tensor(t, path) -> None:

@@ -14,6 +14,7 @@ from dsltopo import (
     FormatError,
     ModelSpec,
     NumericError,
+    Reduction,
     ShapeError,
     SignKind,
     TrainConfig,
@@ -147,6 +148,29 @@ class TestModelPieces:
         assert out.shape == (10, 64)
         lat = model.encode(small_data(n=10))
         assert lat.shape == (10, 4)
+
+    def test_forward_pass_by_hand(self):
+        # rectifier after every layer but the last of each stack
+        model = initialize_model(SMALL_SPEC, seed=2)
+        rng = np.random.default_rng(3)
+        for w, b in model.encoder_layers + model.decoder_layers:
+            b[:] = rng.normal(size=b.shape)
+        x = small_data(n=10)
+        h = x
+        for w, b in model.encoder_layers[:-1]:
+            h = np.maximum(h @ w + b, 0.0)
+        w, b = model.encoder_layers[-1]
+        z = h @ w + b
+        assert (z < 0).any()  # the latent layer is linear
+        assert np.array_equal(model.encode(x), z)
+        h = z
+        for w, b in model.decoder_layers[:-1]:
+            h = np.maximum(h @ w + b, 0.0)
+        w, b = model.decoder_layers[-1]
+        out = h @ w + b
+        assert (out < 0).any()
+        assert np.array_equal(model.decode(z), out)
+        assert np.array_equal(model.reconstruct(x), out)
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigError):
@@ -334,18 +358,21 @@ class TestPersistenceFiles:
 
 
 class TestPresets:
+    # the fully spelled-out configs the presets stand for
     def test_wave_preset(self):
-        spec, cfg = demo_preset("wave")
-        assert spec == WAVE_MODEL
-        assert cfg.mse_weight == 1.0 and cfg.dsl_weight == 128.0
-        assert cfg.learning_rate == 1e-3 and cfg.batch_size == 1024
-        assert cfg.dsl_config.sharpness == 32.0
+        dsl = DslConfig(sharpness=32.0, skip_batch_axis=True,
+                        reduction=Reduction.MEAN, scale_by_comparisons=True)
+        assert demo_preset("wave") == (WAVE_MODEL, TrainConfig(
+            mse_weight=1.0, dsl_weight=128.0, dsl_config=dsl,
+            learning_rate=1e-3, batch_size=1024, total_batches=2000))
+        assert TrainConfig().dsl_config == dsl
 
     def test_walk_preset(self):
-        spec, cfg = demo_preset("walk")
-        assert spec == WALK_MODEL
-        assert cfg.learning_rate == 1e-4 and cfg.batch_size == 64
-        assert cfg.dsl_config.sharpness == 16.0
+        dsl = DslConfig(sharpness=16.0, skip_batch_axis=True,
+                        reduction=Reduction.MEAN, scale_by_comparisons=True)
+        assert demo_preset("walk") == (WALK_MODEL, TrainConfig(
+            mse_weight=1.0, dsl_weight=128.0, dsl_config=dsl,
+            learning_rate=1e-4, batch_size=64, total_batches=2000))
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

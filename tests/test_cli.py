@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dsltopo import (
+    BenchRecord,
     DslConfig,
+    LossKind,
     PersistenceDiagram,
     Reduction,
     dsl_forward,
@@ -257,3 +259,17 @@ class TestBenchCommand:
 
     def test_unknown_kind(self, capsys):
         assert main(["bench", "--kinds", "entropy", "--sizes", "16"]) == 2
+
+    def test_stdout_matches_csv_file(self, tmp_path, capsys, monkeypatch):
+        # fixed records stand in for one run, so both outputs see the same data
+        records = [
+            BenchRecord(LossKind.DSL, 1, 16, 1.25e-05, 3, 2048),
+            BenchRecord(LossKind.MSE, 2, 256, 0.1, 5, None),
+        ]
+        monkeypatch.setattr(cli, "benchmark_losses", lambda **kw: records)
+        assert main(["bench"]) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--csv", str(path)]) == 0
+        assert stdout == path.read_text()
+        assert stdout.splitlines()[2] == "mse,2,256,0.10000000000000001,5,"

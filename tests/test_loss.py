@@ -199,6 +199,12 @@ class TestExactCount:
         axis1 = exact_sign_mismatch_count(x, y, weights=(0.0, 1.0))
         assert full == axis0 + axis1
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_weight_rejected(self, bad):
+        x = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ConfigError):
+            exact_sign_mismatch_count(x, x[::-1], weights=(1.0, bad))
+
     def test_skip_batch(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([[0.0, 2.0], [0.0, 1.0]])
@@ -384,16 +390,31 @@ class TestBlockBoundaries:
         cfg = DslConfig(sharpness=2.0, skip_batch_axis=True, reduction=Reduction.NONE)
         assert_close(dsl_forward(x, y, cfg), whole_array_dsl(x, y, cfg))
 
-    @pytest.mark.parametrize("shape", [(B - 1,), (B // 100 + 1, 101)])
-    def test_exact_sign_forward(self, shape):
+    @pytest.mark.parametrize("shape, weights, skip", [
+        ((B - 1,), None, False),
+        ((B + 1,), None, False),
+        ((3 * B + 2,), None, False),
+        ((B // 100 + 1, 101), None, False),
+        ((9, 64, 100), None, False),  # axis 0 across blocks
+        ((9, 64, 100), (0.3, 1.7, 1.0), False),
+        ((B // 10 + 3, 11, 6), None, True),
+        ((B // 10 + 3, 11, 6), (1.5, 0.25), True),
+    ])
+    def test_exact_sign_forward(self, shape, weights, skip):
+        # rounding makes zero differences, so half mismatches occur too
         x, y = random_pair(shape, 4)
         x = np.round(x)
         y = np.round(y)
-        cfg = DslConfig(sign_kind=SignKind.EXACT_SIGN, match_exact_units=True,
-                        scale_by_comparisons=False)
+        cfg = DslConfig(weights=weights, sign_kind=SignKind.EXACT_SIGN,
+                        match_exact_units=True, skip_batch_axis=skip,
+                        reduction=Reduction.SUM, scale_by_comparisons=False)
         want = whole_array_dsl(x, y, cfg)[0]
         assert dsl_forward(x, y, cfg) == pytest.approx(want, rel=1e-12, abs=0)
-        assert want == exact_sign_mismatch_count(x, y)
+        count = exact_sign_mismatch_count(x, y, weights=weights, skip_batch_axis=skip)
+        if weights is None:
+            assert count == want  # sums of halves are exact
+        else:
+            assert count == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("kind", [SignKind.TANH, SignKind.SOFTSIGN])
     def test_precomputed_transform(self, kind):
@@ -425,10 +446,14 @@ class TestMemory:
             tracemalloc.reset_peak()
             dsl_gradient(x, y)  # its two 16 MiB outputs plus the block buffers
             gradient_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            exact_sign_mismatch_count(x, y)
+            exact_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert forward_peak < 8 * mib
         assert gradient_peak < 40 * mib
+        assert exact_peak < 8 * mib
 
 
 class TestNonFinite:

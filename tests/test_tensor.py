@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dsltopo import (
-    AxisError,
-    DegenerateAxisError,
-    FormatError,
     MAX_RANK,
+    FormatError,
     NumericError,
     ShapeError,
     as_tensor,
-    finite_difference,
     read_tensor,
-    tensor_create,
     write_tensor,
 )
 from dsltopo.tensor import require_finite
@@ -35,88 +31,33 @@ def finite_arrays(shapes=None):
 
 
 class TestCreate:
-    def test_rank_1(self):
-        t = tensor_create([3], [1, 2, 3])
-        assert t.shape == (3,) and t.dtype == np.float64
-
-    def test_row_major_element(self):
-        t = tensor_create([2, 2], [1, 2, 3, 4])
-        assert t[1, 0] == 3
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor_create([2], [1, 2, 3])
-
-    def test_bad_extent(self):
-        with pytest.raises(ShapeError):
-            tensor_create([0], [])
-        with pytest.raises(ShapeError):
-            tensor_create([-1, 2], [1, 2])
-
-    def test_rank_cap(self):
-        ones = [1] * (MAX_RANK + 1)
-        with pytest.raises(ShapeError):
-            tensor_create(ones, [1.0])
-
-    def test_data_copied(self):
-        data = np.array([1.0, 2.0, 3.0])
-        t = tensor_create([3], data)
-        data[0] = 99.0
-        assert t[0] == 1.0
-
     def test_as_tensor_rejects_empty(self):
         with pytest.raises(ShapeError):
             as_tensor(np.zeros((2, 0)))
+
+    def test_as_tensor_rank_cap(self):
+        assert as_tensor(np.ones((1,) * MAX_RANK)).ndim == MAX_RANK
+        with pytest.raises(ShapeError):
+            as_tensor(np.ones((1,) * (MAX_RANK + 1)))
+        with pytest.raises(ShapeError):
+            as_tensor(3.0)
+
+    def test_as_tensor_copies_only_when_needed(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        assert as_tensor(arr) is arr
+        strided = as_tensor(arr.T)
+        assert strided.flags.c_contiguous and np.array_equal(strided, arr.T)
+        ints = np.arange(3)
+        t = as_tensor(ints)
+        assert t.dtype == np.float64
+        ints[0] = 99
+        assert t[0] == 0.0
 
     def test_require_finite(self):
         with pytest.raises(NumericError):
             require_finite(np.array([1.0, np.nan]))
         with pytest.raises(NumericError):
             require_finite(np.array([np.inf]))
-
-
-class TestFiniteDifference:
-    def test_rank_1(self):
-        assert finite_difference([1, 3, 2], 0).tolist() == [2, -1]
-
-    def test_rank_2_axis_0(self):
-        out = finite_difference([[1, 3, 2], [4, 1, 5]], 0)
-        assert out.tolist() == [[3, -2, 3]]
-
-    def test_constant_is_zero(self):
-        t = np.full((3, 4), 7.0)
-        assert not finite_difference(t, 1).any()
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(AxisError):
-            finite_difference([1, 2], 1)
-        with pytest.raises(AxisError):
-            finite_difference([1, 2], -1)
-
-    def test_degenerate_axis(self):
-        with pytest.raises(DegenerateAxisError):
-            finite_difference(np.ones((1, 3)), 0)
-
-    @given(finite_arrays())
-    def test_shape_contract(self, arr):
-        for axis in range(arr.ndim):
-            if arr.shape[axis] < 2:
-                continue
-            out = finite_difference(arr, axis)
-            expect = list(arr.shape)
-            expect[axis] -= 1
-            assert out.shape == tuple(expect)
-
-    @given(
-        hnp.arrays(np.float64, small_shapes(), elements=st.integers(-10**6, 10**6).map(float)),
-        st.integers(-10**6, 10**6).map(float),
-    )
-    def test_translation_invariance(self, arr, c):
-        # integer-valued doubles keep the identity exact
-        for axis in range(arr.ndim):
-            if arr.shape[axis] < 2:
-                continue
-            assert np.array_equal(finite_difference(arr + c, axis), finite_difference(arr, axis))
 
 
 class TestFileFormat:
@@ -131,7 +72,7 @@ class TestFileFormat:
 
     def test_exact_file_layout(self, tmp_path):
         path = tmp_path / "t.dst"
-        write_tensor(tensor_create([2], [1.0, 2.0]), path)
+        write_tensor(np.array([1.0, 2.0]), path)
         blob = path.read_bytes()
         assert len(blob) == 32
         expect = b"DST1" + struct.pack("<I", 1) + struct.pack("<Q", 2)
@@ -146,14 +87,14 @@ class TestFileFormat:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.dst"
-        write_tensor(tensor_create([2], [1.0, 2.0]), path)
+        write_tensor(np.array([1.0, 2.0]), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_tensor(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.dst"
-        write_tensor(tensor_create([2], [1.0, 2.0]), path)
+        write_tensor(np.array([1.0, 2.0]), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             read_tensor(path)
