@@ -71,7 +71,10 @@ def _estimated_bytes(kind: LossKind, elements: int, rank: int) -> int:
         side = 2 * (elements // 3 + 1)
         return 8 * side * side + 60 * elements * rank
     if kind is LossKind.CORRELATION_DISTANCE:
-        return 8 * 2 * elements * elements  # two condensed distance vectors plus copies
+        # not a memory estimate (the blocked distance needs memory linear in
+        # the elements); it keeps the ladder at the sizes it always ran,
+        # past which the quadratic time grows too long
+        return 8 * 2 * elements * elements
     return 12 * linear
 
 

@@ -6,6 +6,7 @@ Tensors are plain C-contiguous float64 numpy arrays of rank 1 to 8.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -34,7 +35,10 @@ def as_tensor(t) -> np.ndarray:
 
 def require_finite(arr: np.ndarray, name: str = "tensor") -> None:
     """Reject NaN/Inf entries; sign-of-NaN would silently corrupt mismatch counts."""
-    if not np.isfinite(arr).all():
+    # Any NaN or infinity makes the sum non-finite, so a finite sum settles it
+    # without an input-sized mask; only a sum that overflowed (numpy warns of
+    # it) needs the exact scan.
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite values")
 
 

@@ -3,8 +3,10 @@
 0-dimensional sublevel-set persistence over dense grids, p-Wasserstein
 distance between persistence diagrams, an assignment-solver wrapper, and
 pairwise correlation distance. These are the non-differentiable references
-the directional sign loss is evaluated against. The two quadratic oracles
-refuse, before allocating, inputs whose buffers would top MEMORY_LIMIT_BYTES.
+the directional sign loss is evaluated against. The diagram distance, whose
+cost matrix is quadratic in the diagram size, refuses before allocating an
+input whose buffers would top MEMORY_LIMIT_BYTES; the correlation distance
+works in blocks and needs memory linear in the number of locations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import pdist
 
 from .exceptions import (
     AxisError,
@@ -32,6 +33,7 @@ from .tensor import as_tensor, require_finite
 
 INF = float("inf")
 MEMORY_LIMIT_BYTES = 4 << 30  # largest quadratic buffer an oracle or a bench measure may build
+CORR_BLOCK_PAIRS = 1 << 15  # location pairs per correlation block: 256 KiB per float64 buffer
 
 
 def _require_memory(nbytes: int, what: str) -> None:
@@ -52,15 +54,27 @@ class PersistenceDiagram:
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        pts = []
-        for p in self.points:
-            b, d = float(p[0]), float(p[1])
-            if not np.isfinite(b):
+        try:
+            arr = np.asarray(self.points, dtype=np.float64)
+        except ValueError as exc:  # ragged points, or entries that are not numbers
+            raise ShapeError(f"diagram points must be (birth, death) pairs: {exc}") from None
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ShapeError(f"diagram points must be (birth, death) pairs, got shape {arr.shape}")
+        births, deaths = arr[:, 0], arr[:, 1]
+        bad_birth = ~np.isfinite(births)
+        bad = bad_birth | np.isnan(deaths) | (deaths < births)
+        if bad.any():
+            k = int(bad.argmax())  # the first bad point, as a point-by-point check finds it
+            b, d = float(births[k]), float(deaths[k])
+            if bad_birth[k]:
                 raise NumericError(f"birth must be finite, got {b}")
-            if np.isnan(d) or d < b:
-                raise NumericError(f"death {d} precedes birth {b}")
-            pts.append((b, d))
-        object.__setattr__(self, "points", tuple(sorted(pts)))
+            raise NumericError(f"death {d} precedes birth {b}")
+        # stable, as sorted() is: equal points, +0.0 and -0.0 alike, keep their order
+        order = np.lexsort((deaths, births))
+        pts = tuple(zip(births[order].tolist(), deaths[order].tolist()))
+        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -94,57 +108,64 @@ def sublevel_persistence_0d(t) -> PersistenceDiagram:
     to thresholding and contribute no point. The surviving component is
     reported as (global minimum, +inf); full grids are connected, so there
     is exactly one such point.
+
+    The earlier-swept neighbours of every cell are gathered with numpy into
+    lists grouped by sweep position before the union-find sweep runs.
     """
     arr = as_tensor(t)
     if arr.ndim > 3:
         raise ShapeError(f"persistence supports ranks 1 to 3, got rank {arr.ndim}")
     require_finite(arr, "grid")
-    shape = arr.shape
     flat = arr.ravel()
     n = flat.size
 
     order = np.argsort(flat, kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
+    pos = pos.reshape(arr.shape)
 
-    deltas = [d for d in itertools.product((-1, 0, 1), repeat=arr.ndim) if any(d)]
-    strides = [int(np.prod(shape[k + 1:], dtype=np.int64)) for k in range(arr.ndim)]
-    coords = np.unravel_index(np.arange(n), shape)
-    coords = np.stack(coords, axis=1)
-
-    parent = list(range(n))
-    birth = [0.0] * n  # valid only at root indices
-    finite_points: list[tuple[float, float]] = []
-
-    for i in order:
-        v = float(flat[i])
-        here = coords[i]
-        roots = set()
-        for delta in deltas:
-            j = 0
-            for k in range(arr.ndim):
-                c = here[k] + delta[k]
-                if c < 0 or c >= shape[k]:
-                    j = -1
-                    break
-                j += c * strides[k]
-            if j >= 0 and pos[j] < pos[i]:
-                roots.add(_find(parent, j))
-        if not roots:
-            birth[i] = v
+    # The offsets above zero in tuple order meet each adjacent pair once; the
+    # later-swept cell of a pair lists the earlier one as a neighbour.
+    later, earlier = [], []
+    for delta in itertools.product((-1, 0, 1), repeat=arr.ndim):
+        if delta <= (0,) * arr.ndim:
             continue
-        survivor = min(roots, key=lambda r: (birth[r], r))
+        a = pos[tuple(slice(max(0, -d), s - max(0, d)) for d, s in zip(delta, arr.shape))]
+        b = pos[tuple(slice(max(0, d), s - max(0, -d)) for d, s in zip(delta, arr.shape))]
+        later.append(np.maximum(a, b).ravel())
+        earlier.append(np.minimum(a, b).ravel())
+    later = np.concatenate(later)
+    nbrs = np.concatenate(earlier)[np.argsort(later)].tolist()
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(later, minlength=n), out=offsets[1:])
+    offsets = offsets.tolist()
+    values = flat[order].tolist()
+
+    # The sweep runs on sweep positions. A component's root is its founding
+    # cell, so its birth is values[root]; and since the sweep orders cells by
+    # (value, row-major index), the smaller root is the elder component.
+    parent = list(range(n))
+    finite_points: list[tuple[float, float]] = []
+    for k in range(n):
+        lo, hi = offsets[k], offsets[k + 1]
+        if lo == hi:
+            continue  # founds a component
+        if hi - lo == 1:
+            parent[k] = _find(parent, nbrs[lo])
+            continue
+        roots = {_find(parent, j) for j in nbrs[lo:hi]}
+        survivor = min(roots)
+        v = values[k]
         for r in roots:
             if r == survivor:
                 continue
-            if birth[r] < v:
-                finite_points.append((birth[r], v))
+            if values[r] < v:
+                finite_points.append((values[r], v))
             parent[r] = survivor
-        parent[i] = survivor
+        parent[k] = survivor
 
-    top = _find(parent, int(order[0]))
-    points = finite_points + [(birth[top], INF)]
-    return PersistenceDiagram(tuple(points))
+    # position 0, the global minimum, founds the elder of all components
+    return PersistenceDiagram(tuple(finite_points) + ((values[0], INF),))
 
 
 @dataclass(frozen=True)
@@ -251,6 +272,21 @@ def _feature_matrix(arr: np.ndarray, feature_axis: int | None) -> np.ndarray:
     return moved.reshape(-1, moved.shape[-1])
 
 
+def _block_distances(
+    features: np.ndarray, r0: int, r1: int, out: np.ndarray, term: np.ndarray
+) -> None:
+    # out[a, b] = distance of locations r0 + a and r0 + 1 + b; features add in order, as in pdist
+    for k, col in enumerate(features):
+        dest = term if k else out
+        # column minus row: numpy's vector-minus-scalar loop is the fast one,
+        # and the square drops the sign
+        np.subtract(col[None, r0 + 1:], col[r0:r1, None], out=dest)
+        np.multiply(dest, dest, out=dest)
+        if k:
+            out += dest
+    np.sqrt(out, out=out)
+
+
 def pairwise_correlation_distance(X, Y, feature_axis: int | None = None) -> float:
     """One minus the Pearson correlation of the two pairwise-distance vectors.
 
@@ -258,6 +294,11 @@ def pairwise_correlation_distance(X, Y, feature_axis: int | None = None) -> floa
     (scalar when feature_axis is None); the Euclidean distances between all
     location pairs of X are correlated against those of Y over the strict
     upper triangle. Result lies in [0, 2].
+
+    The triangle is walked in blocks of whole rows of about CORR_BLOCK_PAIRS
+    pairs. Each block's distances, less the first distance of each side, add
+    into five running sums from which the correlation follows, so memory is
+    linear in the number of locations and no distance vector is kept.
     """
     X = as_tensor(X)
     Y = as_tensor(Y)
@@ -265,20 +306,58 @@ def pairwise_correlation_distance(X, Y, feature_axis: int | None = None) -> floa
         raise ShapeError(f"shape mismatch: {X.shape} vs {Y.shape}")
     require_finite(X, "X")
     require_finite(Y, "Y")
-    fx = _feature_matrix(X, feature_axis)
-    fy = _feature_matrix(Y, feature_axis)
-    n = fx.shape[0]
+    # one contiguous row per feature
+    fx = np.ascontiguousarray(_feature_matrix(X, feature_axis).T)
+    fy = np.ascontiguousarray(_feature_matrix(Y, feature_axis).T)
+    n = fx.shape[1]
     if n < 3:
         raise ShapeError(f"need at least 3 locations, got {n}")
-    # two condensed distance vectors, and np.corrcoef's centred stack of both
-    _require_memory(5 * 8 * (n * (n - 1) // 2), "the pairwise distance vectors")
-    dx = pdist(fx)
-    dy = pdist(fy)
-    if np.all(dx == dx[0]) or np.all(dy == dy[0]):
+
+    # the largest block: rows * width <= CORR_BLOCK_PAIRS with rows <= width,
+    # or one row wider than that
+    size = min(max(CORR_BLOCK_PAIRS, n - 1), (n - 1) ** 2)
+    buffers = np.empty((3, size))  # x side, y side, and a term of a later feature
+    # In a block's first `rows` columns, entry (a, b) with b < a pairs location
+    # r0 + a with the earlier r0 + 1 + b, outside the triangle; there are at
+    # most sqrt(size) rows.
+    below = np.tri(math.isqrt(size), k=-1, dtype=bool)
+    ref_x = ref_y = 0.0
+    varies_x = varies_y = False
+    sx = sy = sxx = syy = sxy = 0.0
+    r0 = 0
+    while r0 < n - 1:
+        width = n - 1 - r0
+        r1 = r0 + max(1, min(width, CORR_BLOCK_PAIRS // width))
+        rows = r1 - r0
+        bx, by, term = (b[: rows * width].reshape(rows, width) for b in buffers)
+        _block_distances(fx, r0, r1, bx, term)
+        _block_distances(fy, r0, r1, by, term)
+        if r0 == 0:
+            ref_x, ref_y = float(bx[0, 0]), float(by[0, 0])
+        # shifted by a distance of each side, so the sums keep their precision
+        # however concentrated the distances are; pairs below the diagonal add 0
+        bx -= ref_x
+        by -= ref_y
+        np.copyto(bx[:, :rows], 0.0, where=below[:rows, :rows])
+        np.copyto(by[:, :rows], 0.0, where=below[:rows, :rows])
+        varies_x = varies_x or bool(bx.any())
+        varies_y = varies_y or bool(by.any())
+        flat_x, flat_y = bx.ravel(), by.ravel()
+        sx += float(flat_x.sum())
+        sy += float(flat_y.sum())
+        # einsum, not np.dot: a BLAS dot this long wakes BLAS worker threads,
+        # and on a busy CPU each wake-up between blocks can cost milliseconds
+        sxx += float(np.einsum("i,i->", flat_x, flat_x))
+        syy += float(np.einsum("i,i->", flat_y, flat_y))
+        sxy += float(np.einsum("i,i->", flat_x, flat_y))
+        r0 = r1
+    if not (varies_x and varies_y):
         raise UndefinedCorrelationError(
             "pairwise distances are all identical; correlation undefined"
         )
-    r = float(np.corrcoef(dx, dy)[0, 1])
+    count = n * (n - 1) // 2
+    cov = sxy - sx * sy / count
+    r = cov / math.sqrt(sxx - sx * sx / count) / math.sqrt(syy - sy * sy / count)
     return float(min(2.0, max(0.0, 1.0 - r)))
 
 

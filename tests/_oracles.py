@@ -3,8 +3,9 @@
 These deliberately avoid the package's own algorithms: persistence by
 exhaustive thresholding and labeling, assignment and diagram distances by
 permutation enumeration or by a dense all-projections assignment, the
-directional sign loss and its gradients over whole arrays, gradients by
-central finite differences.
+correlation distance from whole condensed distance vectors, the directional
+sign loss and its gradients over whole arrays, gradients by central finite
+differences.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import itertools
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import pdist
 
 INF = float("inf")
 
@@ -127,6 +129,24 @@ def dense_projection_wasserstein(points1, points2, p, policy):
     cost[n1:, n2:] = 0.0  # diagonal to diagonal is free
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() ** (1.0 / p))
+
+
+def condensed_correlation_distance(x, y, feature_axis=None):
+    """One minus Pearson's r of the two condensed pairwise-distance vectors.
+
+    Both vectors are built whole with pdist and correlated by np.corrcoef;
+    every non-feature position is one location (a scalar feature when
+    feature_axis is None). The result is clamped to [0, 2].
+    """
+    def locations(a):
+        a = np.asarray(a, dtype=np.float64)
+        if feature_axis is None:
+            return a.reshape(-1, 1)
+        moved = np.moveaxis(a, feature_axis, -1)
+        return moved.reshape(-1, moved.shape[-1])
+
+    r = float(np.corrcoef(pdist(locations(x)), pdist(locations(y)))[0, 1])
+    return min(2.0, max(0.0, 1.0 - r))
 
 
 def whole_array_dsl(x, y, cfg):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from dsltopo import autoencoder
+from dsltopo import autoencoder, topology
 from dsltopo import (
     WALK_MODEL,
     WAVE_MODEL,
@@ -298,6 +298,26 @@ class TestSplitAndEval:
             assert s.directional_agreement == 1.0
             assert s.persistence_wasserstein == 0.0
             assert s.correlation_distance == pytest.approx(0.0, abs=1e-12)
+
+    def test_evaluation_calls_the_oracles_through_module_names(self, monkeypatch):
+        # the benchmark's tracer times these layers by rebinding these names
+        calls = []
+        for name in ("sublevel_persistence_0d", "wasserstein_distance",
+                     "pairwise_correlation_distance"):
+            original = getattr(autoencoder, name)
+            assert original is getattr(topology, name)
+
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(autoencoder, name, recorded)
+        rng = np.random.default_rng(13)
+        orig = rng.normal(size=(2, 16))
+        evaluate_reconstructions(orig, orig + rng.normal(size=(2, 16)))
+        per_example = ["sublevel_persistence_0d", "sublevel_persistence_0d",
+                       "wasserstein_distance", "pairwise_correlation_distance"]
+        assert calls == per_example * 2
 
     def test_undefined_correlation_is_nan(self):
         orig = np.tile(np.linspace(0.0, 1.0, 8), (2, 1))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,34 @@ class TestCreate:
             require_finite(np.array([1.0, np.nan]))
         with pytest.raises(NumericError):
             require_finite(np.array([np.inf]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflowing sum
+    def test_require_finite_accepts_an_overflowing_sum(self):
+        huge = np.full(1000, 1e308)
+        huge[1::2] = -1e308
+        require_finite(huge)
+        require_finite(np.full(1000, 1e308))
+        require_finite(np.full(1000, -1e308))
+
+    def test_require_finite_allocates_no_mask(self):
+        arr = np.random.default_rng(5).standard_normal(1 << 21)
+        tracemalloc.start()
+        try:
+            require_finite(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # an isfinite mask alone is 2 MiB
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize("fill", [1.0, 1e308])
+    def test_require_finite_rejects_at_either_end(self, bad, at, fill):
+        arr = np.full(1000, fill)
+        arr[at] = bad
+        with pytest.raises(NumericError):
+            require_finite(arr)
 
 
 class TestFileFormat:

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +28,13 @@ from dsltopo import (
     write_diagram,
 )
 
+from dsltopo import topology
 from dsltopo.topology import MEMORY_LIMIT_BYTES
 
 from _oracles import (
     brute_force_assignment,
     brute_force_wasserstein,
+    condensed_correlation_distance,
     dense_projection_wasserstein,
     threshold_label_diagram,
 )
@@ -42,6 +46,20 @@ def small_grids(max_rank=3):
     return hnp.array_shapes(min_dims=1, max_dims=max_rank, min_side=1, max_side=5).flatmap(
         lambda shape: hnp.arrays(np.float64, shape, elements=st.integers(0, 4).map(float))
     )
+
+
+def unit_extent_grids():
+    # every extent but one is 1: (1, n), (n, 1), (1, 1, n), (n, 1, 1)
+    shapes = st.tuples(st.integers(1, 30), st.sampled_from(["1n", "n1", "11n", "n11"])).map(
+        lambda c: tuple(c[0] if k == "n" else 1 for k in c[1])
+    )
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.integers(0, 3).map(float))
+    )
+
+
+def float_bits(points):
+    return [struct.pack("<dd", b, d) for b, d in points]
 
 
 class TestDiagram:
@@ -63,6 +81,28 @@ class TestDiagram:
             PersistenceDiagram(((0.0, float("nan")),))
         with pytest.raises(NumericError):
             PersistenceDiagram(((3.0, 1.0),))
+
+    @pytest.mark.parametrize("points", [((1.0,),), ((0.0, 1.0, 2.0),), (0.0, 1.0),
+                                        ((0.0, 1.0), (2.0,)), (("a", 1.0),)])
+    def test_points_must_be_pairs(self, points):
+        with pytest.raises(ShapeError):
+            PersistenceDiagram(points)
+
+    def test_first_invalid_point_is_reported(self):
+        with pytest.raises(NumericError, match="death 1.0 precedes birth 3.0"):
+            PersistenceDiagram(((0.0, 1.0), (3.0, 1.0), (INF, INF)))
+        with pytest.raises(NumericError, match="birth must be finite, got -inf"):
+            PersistenceDiagram(((0.0, 1.0), (-INF, 2.0), (3.0, 1.0)))
+
+    @given(st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.5]) | st.floats(-3, 3),
+                  st.sampled_from([0.0, -0.0, 2.0, INF]) | st.floats(0, 6)),
+        max_size=12,
+    ).map(lambda pts: [(b, d) if d >= b else (d, b) for b, d in pts if b != INF]))
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_order_matches_sorted(self, pts):
+        pts = pts + pts[: len(pts) // 2]  # duplicate points
+        assert float_bits(PersistenceDiagram(tuple(pts)).points) == float_bits(sorted(pts))
 
 
 class TestSublevelPersistence:
@@ -112,10 +152,21 @@ class TestSublevelPersistence:
                     neighbors_higher &= shifted > grid
             assert len(d) == int(neighbors_higher.sum())
 
-    @given(small_grids())
-    @settings(max_examples=150, deadline=None)
+    @given(small_grids() | unit_extent_grids())
+    @settings(max_examples=270, deadline=None)
     def test_matches_component_counting_oracle(self, grid):
         assert sublevel_persistence_0d(grid).points == threshold_label_diagram(grid)
+
+    @pytest.mark.parametrize("shape", [(60,), (1, 60), (60, 1), (1, 1, 60), (60, 1, 1),
+                                       (8, 9), (4, 5, 6)])
+    def test_plateaus_match_oracle(self, shape):
+        # long runs of equal values, where sweep order and the tie-break decide
+        rng = np.random.default_rng(list(shape))
+        n = math.prod(shape)
+        runs = rng.integers(1, 12, size=n)
+        values = np.repeat(rng.integers(0, 3, size=n).astype(float), runs)[:n]
+        for grid in (values.reshape(shape), values[::-1].reshape(shape)):
+            assert sublevel_persistence_0d(grid).points == threshold_label_diagram(grid)
 
     @given(small_grids(max_rank=1))
     @settings(max_examples=60)
@@ -349,11 +400,86 @@ class TestCorrelationDistance:
         with pytest.raises(UndefinedCorrelationError):
             pairwise_correlation_distance(x, y)
 
-    def test_memory_limit_refused_before_allocating(self):
-        n = math.isqrt(MEMORY_LIMIT_BYTES // 20) + 2  # 5 float64 vectors of n(n-1)/2
-        x = np.arange(float(n))
-        with pytest.raises(MemoryLimitError):
-            pairwise_correlation_distance(x, x)
+    def test_degenerate_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(topology, "CORR_BLOCK_PAIRS", 4)
+        simplex = np.eye(7)  # every distance is sqrt 2
+        y = np.random.default_rng(44).normal(size=(7, 7))
+        with pytest.raises(UndefinedCorrelationError):
+            pairwise_correlation_distance(simplex, y, feature_axis=1)
+        with pytest.raises(UndefinedCorrelationError):
+            pairwise_correlation_distance(y, simplex, feature_axis=1)
+        # the first block, row 0, holds distances all equal to the first; later rows differ
+        x = np.array([0.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+        y = np.arange(6.0) ** 2
+        got = pairwise_correlation_distance(x, y)
+        assert got == pytest.approx(condensed_correlation_distance(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("block,n", [
+        (None, 3),
+        # the first block is rows 0..n-2 with (n - 1)^2 entries: under, at, just over 2^15
+        (None, 181), (None, 182), (None, 183),
+        (None, 2048),  # one wave
+        # short rows pack several to a block; with n - 1 past the block, a row is a block
+        (64, 9), (64, 10), (64, 65), (64, 66), (64, 200), (16, 40),
+    ])
+    def test_matches_condensed_oracle(self, monkeypatch, block, n):
+        if block is not None:
+            monkeypatch.setattr(topology, "CORR_BLOCK_PAIRS", block)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = x + rng.normal(size=n)
+        got = pairwise_correlation_distance(x, y)
+        assert got == pytest.approx(condensed_correlation_distance(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("features", [1, 3])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_feature_axis_matches_condensed_oracle(self, monkeypatch, features, block):
+        if block is not None:
+            monkeypatch.setattr(topology, "CORR_BLOCK_PAIRS", block)
+        rng = np.random.default_rng(features)
+        x = rng.normal(size=(features, 30, 7))
+        y = rng.normal(size=(features, 30, 7))
+        got = pairwise_correlation_distance(x, y, feature_axis=0)
+        want = condensed_correlation_distance(x, y, feature_axis=0)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_near_perfect_correlation_matches_oracle(self):
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(300, 2))
+        y = 3.0 * x + 1e-9 * rng.normal(size=(300, 2))
+        got = pairwise_correlation_distance(x, y, feature_axis=1)
+        want = condensed_correlation_distance(x, y, feature_axis=1)
+        assert want < 1e-15
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["gaussian", "simplex"])
+    def test_concentrated_distances_match_oracle(self, case):
+        # 200 points in 500 dimensions: the distances spread 3% about their
+        # mean; near a regular simplex, 0.1%, where unshifted sums drift by 1e-10
+        rng = np.random.default_rng(46)
+        if case == "gaussian":
+            x = rng.normal(size=(200, 500))
+            y = x + 0.5 * rng.normal(size=(200, 500))
+        else:
+            noise = 1e-3 * rng.normal(size=(2, 200, 200))
+            x = np.eye(200) + noise[0]
+            y = np.eye(200) + noise[1] + 0.5 * noise[0]
+        got = pairwise_correlation_distance(x, y, feature_axis=1)
+        want = condensed_correlation_distance(x, y, feature_axis=1)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_memory_linear_in_locations(self):
+        # two condensed vectors alone would be 134 MB at n = 4096
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=4096)
+        y = rng.normal(size=4096)
+        tracemalloc.start()
+        try:
+            pairwise_correlation_distance(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_matches_pearson(self):
         rng = np.random.default_rng(43)
