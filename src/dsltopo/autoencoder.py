@@ -256,26 +256,17 @@ def train_autoencoder(data, model_spec: ModelSpec, cfg: TrainConfig):
     linear = {len(model.encoder_layers) - 1, len(layers) - 1}  # the latent and output layers
     batch_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(layers) + 1)[-1])
 
-    use_dsl = cfg.dsl_weight > 0
-    tx_full = None
-    if use_dsl:
-        # the target side of the DSL never changes, so transform it once
-        tx_full = sign_like(np.diff(data, axis=1), cfg.dsl_config.sign_kind, cfg.dsl_config.sharpness)
-
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m_state = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     v_state = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
 
     x = np.empty((cfg.batch_size, features))
-    tx_batch = np.empty((cfg.batch_size, features - 1)) if use_dsl else None
 
     log: list[tuple[int, float, float, float]] = []
     for batch_index in range(1, cfg.total_batches + 1):
         idx = batch_rng.choice(n, size=cfg.batch_size, replace=False)
         idx.sort()  # a batch is a set; ordered rows gather faster
         np.take(data, idx, axis=0, out=x)
-        if use_dsl:
-            np.take(tx_full, idx, axis=0, out=tx_batch)
 
         trace: list[tuple[np.ndarray, np.ndarray]] = []
         recon = _forward(model.decoder_layers, _forward(model.encoder_layers, x, trace), trace)
@@ -289,13 +280,10 @@ def train_autoencoder(data, model_spec: ModelSpec, cfg: TrainConfig):
             resid *= cfg.mse_weight * (2.0 / resid.shape[0])
             grad_recon = resid
         dsl_term = 0.0
-        if use_dsl:
+        if cfg.dsl_weight > 0:
             # data was validated up front and a non-finite reconstruction
             # surfaces through the divergence check just below
-            dsl_term, grad_dsl, _, _ = _evaluate(
-                x, recon, cfg.dsl_config, want_dy=True,
-                tx_by_axis={1: tx_batch}, validate=False,
-            )
+            dsl_term, grad_dsl, _, _ = _evaluate(x, recon, cfg.dsl_config, want_dy=True, validate=False)
             grad_dsl *= cfg.dsl_weight
             if grad_recon is None:
                 grad_recon = grad_dsl
@@ -344,7 +332,7 @@ def cumulative_signs(x) -> np.ndarray:
     require_finite(x, "x")
     out = np.empty(x.shape[0])
     out[0] = 0.0
-    np.cumsum(np.sign(np.diff(x)), out=out[1:])
+    np.cumsum(sign_like(np.diff(x), SignKind.EXACT_SIGN, 1.0), out=out[1:])
     return out
 
 
@@ -354,8 +342,8 @@ def directional_agreement(X, Y) -> float:
     matched = 0
     total = 0
     for ax in axes:
-        sx = np.sign(np.diff(X, axis=ax))
-        sy = np.sign(np.diff(Y, axis=ax))
+        sx = sign_like(np.diff(X, axis=ax), SignKind.EXACT_SIGN, 1.0)
+        sy = sign_like(np.diff(Y, axis=ax), SignKind.EXACT_SIGN, 1.0)
         matched += int((sx == sy).sum())
         total += sx.size
     return matched / total

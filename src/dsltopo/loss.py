@@ -196,7 +196,6 @@ def _evaluate(
     want_dy: bool = False,
     want_dx: bool = False,
     want_ds: bool = False,
-    tx_by_axis: dict[int, np.ndarray] | None = None,
     validate: bool = True,
 ):
     """Shared engine for the forward value and its analytic gradients.
@@ -205,13 +204,11 @@ def _evaluate(
     BLOCK_ELEMENTS elements. Every intermediate lives in a few block-sized
     buffers that this call owns, so the working set stays in cache whatever
     the input size; only the returned gradients are full-sized. A difference
-    along axis 0 reads one row past its block.
+    along axis 0 reads one row past its block. Both sides are differenced and
+    transformed block by block, while their rows are in cache.
 
-    `tx_by_axis` optionally supplies precomputed sign_like(diff(X, axis)) per
-    compared axis so repeated evaluations against a fixed X skip that work;
-    it cannot be combined with want_dx/want_ds (those need the raw
-    differences of X). `validate=False` skips the full finiteness scan for
-    callers that already guarantee it.
+    `validate=False` skips the full finiteness scan for callers that already
+    guarantee it.
     """
     X, Y, axes, w = _pair_axes(X, Y, cfg.skip_batch_axis, cfg.weights, validate)
     any_grad = want_dy or want_dx or want_ds
@@ -221,8 +218,6 @@ def _evaluate(
         raise ConfigError("per-example reduction requires skip_batch_axis")
     if any_grad and cfg.reduction is Reduction.NONE:
         raise ConfigError("gradients are defined only for scalar reductions")
-    if tx_by_axis is not None and (want_dx or want_ds):
-        raise ConfigError("precomputed transforms cannot back gradients through X")
 
     s = cfg.sharpness
     kind = cfg.sign_kind
@@ -268,10 +263,7 @@ def _evaluate(
                 bufs = bufs[:, :r_end - r0]
             stop = r_end + 1 if ax == 0 else r1
             xb, yb = X[r0:stop], Y[r0:stop]
-            if tx_by_axis is not None and ax in tx_by_axis:
-                tx = tx_by_axis[ax][r0:r_end]  # borrowed; never written below
-            else:
-                tx = _transform_inplace(np.subtract(xb[hi], xb[lo], out=bufs[0]), kind, s, bufs[2])
+            tx = _transform_inplace(np.subtract(xb[hi], xb[lo], out=bufs[0]), kind, s, bufs[2])
             ty = _transform_inplace(np.subtract(yb[hi], yb[lo], out=bufs[1]), kind, s, bufs[2])
             mism = np.subtract(tx, ty, out=bufs[2])
             if any_grad:

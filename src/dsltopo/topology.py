@@ -1,9 +1,9 @@
 """Topological dissimilarity oracles.
 
 0-dimensional sublevel-set persistence over dense grids, p-Wasserstein
-distance between persistence diagrams, an assignment-solver wrapper, and
-pairwise correlation distance. These are the non-differentiable references
-the directional sign loss is evaluated against. The diagram distance, whose
+distance between persistence diagrams, and pairwise correlation distance.
+These are the non-differentiable references the directional sign loss is
+evaluated against. The diagram distance, whose
 cost matrix is quadratic in the diagram size, refuses before allocating an
 input whose buffers would top MEMORY_LIMIT_BYTES; the correlation distance
 works in blocks and needs memory linear in the number of locations.
@@ -168,29 +168,6 @@ def sublevel_persistence_0d(t) -> PersistenceDiagram:
     return PersistenceDiagram(tuple(finite_points) + ((values[0], INF),))
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Perfect matching between the rows and columns of a cost matrix."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_cost: float
-
-
-def min_cost_assignment(cost) -> Matching:
-    """Minimum-total-cost perfect matching of a square nonnegative matrix."""
-    c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ShapeError(f"cost matrix must be square, got shape {c.shape}")
-    if c.size:
-        if not np.isfinite(c).all():
-            raise NumericError("cost matrix contains non-finite entries")
-        if (c < 0).any():
-            raise NumericError("cost matrix entries must be nonnegative")
-    rows, cols = linear_sum_assignment(c)
-    pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    return Matching(pairs=pairs, total_cost=float(c[rows, cols].sum()))
-
-
 class InfiniteDeathPolicy(Enum):
     CAP_AT_GLOBAL_MAX = "cap"  # replace +inf with the largest finite coordinate present
     DROP = "drop"
@@ -325,39 +302,52 @@ def pairwise_correlation_distance(X, Y, feature_axis: int | None = None) -> floa
     varies_x = varies_y = False
     sx = sy = sxx = syy = sxy = 0.0
     r0 = 0
-    while r0 < n - 1:
-        width = n - 1 - r0
-        r1 = r0 + max(1, min(width, CORR_BLOCK_PAIRS // width))
-        rows = r1 - r0
-        bx, by, term = (b[: rows * width].reshape(rows, width) for b in buffers)
-        _block_distances(fx, r0, r1, bx, term)
-        _block_distances(fy, r0, r1, by, term)
-        if r0 == 0:
-            ref_x, ref_y = float(bx[0, 0]), float(by[0, 0])
-        # shifted by a distance of each side, so the sums keep their precision
-        # however concentrated the distances are; pairs below the diagonal add 0
-        bx -= ref_x
-        by -= ref_y
-        np.copyto(bx[:, :rows], 0.0, where=below[:rows, :rows])
-        np.copyto(by[:, :rows], 0.0, where=below[:rows, :rows])
-        varies_x = varies_x or bool(bx.any())
-        varies_y = varies_y or bool(by.any())
-        flat_x, flat_y = bx.ravel(), by.ravel()
-        sx += float(flat_x.sum())
-        sy += float(flat_y.sum())
-        # einsum, not np.dot: a BLAS dot this long wakes BLAS worker threads,
-        # and on a busy CPU each wake-up between blocks can cost milliseconds
-        sxx += float(np.einsum("i,i->", flat_x, flat_x))
-        syy += float(np.einsum("i,i->", flat_y, flat_y))
-        sxy += float(np.einsum("i,i->", flat_x, flat_y))
-        r0 = r1
+    try:
+        # numpy raises on an overflowing distance or block sum; the einsum
+        # products and the Python sums overflow silently and are caught below
+        with np.errstate(over="raise", invalid="raise"):
+            while r0 < n - 1:
+                width = n - 1 - r0
+                r1 = r0 + max(1, min(width, CORR_BLOCK_PAIRS // width))
+                rows = r1 - r0
+                bx, by, term = (b[: rows * width].reshape(rows, width) for b in buffers)
+                _block_distances(fx, r0, r1, bx, term)
+                _block_distances(fy, r0, r1, by, term)
+                if r0 == 0:
+                    ref_x, ref_y = float(bx[0, 0]), float(by[0, 0])
+                # shifted by a distance of each side, so the sums keep their
+                # precision however concentrated the distances are; pairs below
+                # the diagonal add 0
+                bx -= ref_x
+                by -= ref_y
+                np.copyto(bx[:, :rows], 0.0, where=below[:rows, :rows])
+                np.copyto(by[:, :rows], 0.0, where=below[:rows, :rows])
+                varies_x = varies_x or bool(bx.any())
+                varies_y = varies_y or bool(by.any())
+                flat_x, flat_y = bx.ravel(), by.ravel()
+                sx += float(flat_x.sum())
+                sy += float(flat_y.sum())
+                # einsum, not np.dot: a BLAS dot this long wakes BLAS worker
+                # threads, and on a busy CPU each wake-up between blocks can
+                # cost milliseconds
+                sxx += float(np.einsum("i,i->", flat_x, flat_x))
+                syy += float(np.einsum("i,i->", flat_y, flat_y))
+                sxy += float(np.einsum("i,i->", flat_x, flat_y))
+                r0 = r1
+    except FloatingPointError:
+        raise NumericError("pairwise distances overflow float64") from None
     if not (varies_x and varies_y):
         raise UndefinedCorrelationError(
             "pairwise distances are all identical; correlation undefined"
         )
     count = n * (n - 1) // 2
-    cov = sxy - sx * sy / count
-    r = cov / math.sqrt(sxx - sx * sx / count) / math.sqrt(syy - sy * sy / count)
+    var_x = sxx - sx * sx / count
+    var_y = syy - sy * sy / count
+    r = math.nan  # an overflowed sum, or a variance lost to rounding
+    if 0.0 < var_x < INF and 0.0 < var_y < INF:
+        r = (sxy - sx * sy / count) / math.sqrt(var_x) / math.sqrt(var_y)
+    if not math.isfinite(r):
+        raise NumericError("correlation of the pairwise distances is not finite in float64")
     return float(min(2.0, max(0.0, 1.0 - r)))
 
 
@@ -373,8 +363,12 @@ def write_diagram(diagram: PersistenceDiagram, path) -> None:
 def read_diagram(path) -> PersistenceDiagram:
     """Parse the diagram text format; an empty file is an empty diagram."""
     points = []
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes become lone surrogates, so a bad line can be named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raw = raw.encode("ascii", "surrogateescape")
+                raise FormatError(f"{path}:{lineno}: non-ASCII bytes in {raw!r}")
             line = raw.strip()
             if not line:
                 continue

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +238,20 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError) as exc_info:
             train_autoencoder(small_data(n=1024), SMALL_SPEC, cfg)
         assert exc_info.value.batch_index == 1
+
+    def test_wave_batches_hold_no_split_sized_transform(self):
+        # the engine transforms both sides of each batch block by block, so
+        # training holds no transform of the split and no gathered copy of it
+        spec, preset = demo_preset("wave")
+        train, _ = held_out_split(generate_wave_dataset(2048, seed=1))
+        cfg = dataclasses.replace(preset, total_batches=2, seed=1)
+        tracemalloc.start()
+        try:
+            train_autoencoder(train, spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2**20
 
     def test_batch_larger_than_dataset(self):
         cfg = TrainConfig(batch_size=256, total_batches=1)

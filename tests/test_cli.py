@@ -133,6 +133,16 @@ class TestWassersteinCommand:
         err = capsys.readouterr().err
         assert "bad.csv" in err
 
+    def test_non_ascii_diagram_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,1\n\xff\xfe,2\n")
+        good = tmp_path / "good.csv"
+        write_diagram(PersistenceDiagram(()), good)
+        assert main(["wasserstein", str(bad), str(good)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bad.csv:2:" in err and "Traceback" not in err
+
     def test_order_below_one_rejected(self, tmp_path, capsys):
         d = tmp_path / "d.csv"
         write_diagram(PersistenceDiagram(((0.0, 1.0),)), d)
@@ -187,6 +197,20 @@ class TestCorrdistCommand:
         assert main(["corrdist", str(xp), str(yp)]) == 0
         got = float(capsys.readouterr().out.strip())
         assert got == pairwise_correlation_distance(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        ([1e308, -1e308, 1e308, 0.0], [0.0, 1.0, 2.0, 3.0]),
+        ([1e200, 3e200, 0.0, 5e200], [0.0, 1.0, 3.0, 2.0]),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_exits_4(self, tmp_path, capsys, x, y):
+        xp, yp = tmp_path / "x.dst", tmp_path / "y.dst"
+        write_tensor(np.array(x), xp)
+        write_tensor(np.array(y), yp)
+        assert main(["corrdist", str(xp), str(yp)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_degenerate_input(self, tmp_path, capsys):
         xp, yp = tmp_path / "x.dst", tmp_path / "y.dst"

@@ -20,7 +20,6 @@ from dsltopo import (
     PersistenceDiagram,
     ShapeError,
     UndefinedCorrelationError,
-    min_cost_assignment,
     pairwise_correlation_distance,
     read_diagram,
     sublevel_persistence_0d,
@@ -32,7 +31,6 @@ from dsltopo import topology
 from dsltopo.topology import MEMORY_LIMIT_BYTES
 
 from _oracles import (
-    brute_force_assignment,
     brute_force_wasserstein,
     condensed_correlation_distance,
     dense_projection_wasserstein,
@@ -177,39 +175,6 @@ class TestSublevelPersistence:
         assert all(b < dth for b, dth in pts if math.isfinite(dth))
 
 
-class TestAssignment:
-    def test_examples(self):
-        m = min_cost_assignment(np.array([[0.0, 9.0], [9.0, 0.0]]))
-        assert m.pairs == ((0, 0), (1, 1))
-        assert m.total_cost == 0.0
-        assert min_cost_assignment(np.array([[7.0]])).total_cost == 7.0
-        m = min_cost_assignment(np.array([[1.0, 2.0], [3.0, 1.0]]))
-        assert m.total_cost == 2.0
-
-    def test_errors(self):
-        with pytest.raises(ShapeError):
-            min_cost_assignment(np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            min_cost_assignment(np.zeros(4))
-        with pytest.raises(NumericError):
-            min_cost_assignment(np.array([[-1.0]]))
-        with pytest.raises(NumericError):
-            min_cost_assignment(np.array([[np.inf]]))
-
-    @given(hnp.arrays(
-        np.float64,
-        st.integers(1, 6).map(lambda n: (n, n)),
-        elements=st.floats(0, 50, allow_nan=False),
-    ))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force(self, cost):
-        got = min_cost_assignment(cost)
-        _, best = brute_force_assignment(cost)
-        assert got.total_cost == pytest.approx(best, rel=1e-12, abs=1e-12)
-        by_pairs = sum(cost[i, j] for i, j in got.pairs)
-        assert got.total_cost == pytest.approx(by_pairs, rel=1e-12, abs=1e-12)
-
-
 class TestWasserstein:
     def test_worked_examples(self):
         d1 = PersistenceDiagram(((0.0, 2.0),))
@@ -338,6 +303,12 @@ class TestDiagramIO:
             read_diagram(path)
         assert "bad.txt" in str(exc_info.value)
 
+    def test_non_ascii_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0,1\n\xff\xfe,2\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:2: non-ASCII"):
+            read_diagram(path)
+
     @given(raw=st.lists(
         st.tuples(st.floats(-100, 100), st.floats(0, 100) | st.just(INF)),
         max_size=8,
@@ -398,6 +369,16 @@ class TestCorrelationDistance:
         x = np.zeros((5, 2))
         y = np.arange(10.0).reshape(5, 2)
         with pytest.raises(UndefinedCorrelationError):
+            pairwise_correlation_distance(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        ([1e308, -1e308, 1e308, 0.0], [0.0, 1.0, 2.0, 3.0]),  # a distance overflows
+        ([1e200, 3e200, 0.0, 5e200], [0.0, 1.0, 3.0, 2.0]),  # its square overflows
+        ([0.0, 1.2e154] * 3, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),  # a sum of squares overflows
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises(self, x, y):
+        with pytest.raises(NumericError):
             pairwise_correlation_distance(x, y)
 
     def test_degenerate_across_blocks(self, monkeypatch):
